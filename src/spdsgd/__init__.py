@@ -13,7 +13,6 @@ from .manifold import (
     distance,
     exp_map,
     inner,
-    is_spd,
     log_map,
     norm,
     parallel_transport,
@@ -80,7 +79,6 @@ __all__ = [
     "full_gradient",
     "gradient_variance",
     "inner",
-    "is_spd",
     "log_map",
     "loss",
     "max_gradient_norm",

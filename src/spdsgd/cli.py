@@ -18,6 +18,7 @@ explicit flags always win.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -25,10 +26,20 @@ import sys
 import numpy as np
 from numpy.random import Generator, Philox
 
-from . import dataio, experiment, objective, rsgd
+from . import dataio, experiment, rsgd
 from .dataio import DataError, FormatError
 from .experiment import FitDomainError, FitError, FitInputs
 from .rsgd import ConvergenceError, RunError, StepSchedule
+from .symmat import sym_eigen
+
+
+_SWEEP_HEADER = ["schedule", "epsilon", "batch", "seed", "K", "censored", "sfo", "final_f", "wall_ms"]
+
+
+def _write_csv(path: str, rows) -> None:
+    """Write every CSV output, with standard quoting: a staircase label holds commas."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _fmt(x) -> str:
@@ -90,10 +101,6 @@ def _merge_config(args: argparse.Namespace, keys: dict[str, str]) -> None:
             setattr(args, dest, conf[json_key])
 
 
-def _load_dataset(path: str) -> objective.Dataset:
-    return dataio.read_matrix_set(path)
-
-
 def _parse_center(spec: str, dim: int):
     if spec == "identity":
         return np.eye(dim)
@@ -125,12 +132,14 @@ def cmd_gen(args, parser) -> int:
         parser.error("--n and --d must be positive")
     if spread <= 0:
         parser.error("--spread must be positive")
+    if seed < 0:
+        parser.error("--seed must be nonnegative")
 
     center = _parse_center(args.center, d)
     rng = Generator(Philox(key=np.uint64(seed)))
     data = dataio.generate_synthetic(rng, n, d, center, spread)
     dataio.write_matrix_set(args.out, data)
-    eig = np.linalg.eigvalsh(data.points)
+    eig = sym_eigen(data.points).eigenvalues
     print(
         f"wrote {data.n} SPD matrices of dimension {data.dim} to {args.out} "
         f"(eigenvalues in [{_fmt(eig.min())}, {_fmt(eig.max())}])"
@@ -201,6 +210,8 @@ def cmd_run(args, parser) -> int:
         parser.error("--batch must be positive")
     if steps < 0:
         parser.error("--steps must be nonnegative")
+    if seed < 0:
+        parser.error("--seed must be nonnegative")
     eps_text = args.epsilons_text if args.epsilons_text is not None else "0.5,0.25"
     if isinstance(eps_text, list):
         epsilons = tuple(float(e) for e in eps_text)
@@ -210,7 +221,7 @@ def cmd_run(args, parser) -> int:
     if any(e <= 0 for e in epsilons):
         parser.error("epsilons must be positive")
 
-    data = _load_dataset(args.data)
+    data = dataio.read_matrix_set(args.data)
     schedule = _schedule_from_run_flags(args, parser, data.n)
     reference = rsgd.reference_centroid(data, tol=1e-9)
     config = rsgd.RunConfig(
@@ -225,27 +236,17 @@ def cmd_run(args, parser) -> int:
     )
     record = rsgd.run(config)
 
-    lines = ["step,f,grad_norm,alpha_k,V_k,dist_ref"]
-    n_rows = record.f.size
-    for k in range(n_rows):
+    rows = [["step", "f", "grad_norm", "alpha_k", "V_k", "dist_ref"]]
+    for k in range(record.f.size):
         alpha_k = record.alpha[k] if k < record.alpha.size else np.nan
-        lines.append(
-            ",".join(
-                [
-                    str(k),
-                    _fmt(record.f[k]),
-                    _fmt(record.grad_norm[k]),
-                    _fmt(alpha_k),
-                    _fmt(record.stationarity[k]),
-                    _fmt(record.ref_distance[k]),
-                ]
-            )
-        )
+        rows.append([
+            k, _fmt(record.f[k]), _fmt(record.grad_norm[k]), _fmt(alpha_k),
+            _fmt(record.stationarity[k]), _fmt(record.ref_distance[k]),
+        ])
     for e in epsilons:
         hit = record.steps_to_epsilon[e]
-        lines.append(f"K,{_fmt(e)},{'censored' if hit is None else hit}")
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append(["K", _fmt(e), "censored" if hit is None else hit])
+    _write_csv(args.out, rows)
     print(
         f"run: {schedule.label} b={batch} seed={seed} steps={record.steps} "
         f"final_f={_fmt(record.f[-1])} sigma2_x0={_fmt(record.sigma2_initial)} "
@@ -294,7 +295,7 @@ def cmd_sweep(args, parser) -> int:
     if jobs < 1:
         parser.error("--jobs must be positive")
 
-    data = _load_dataset(args.data)
+    data = dataio.read_matrix_set(args.data)
     try:
         config = experiment.SweepConfig(
             data=data,
@@ -310,38 +311,33 @@ def cmd_sweep(args, parser) -> int:
         parser.error(str(exc))
     record = experiment.sweep(config)
 
-    lines = ["schedule,epsilon,batch,seed,K,censored,sfo,final_f,wall_ms"]
+    rows = [_SWEEP_HEADER]
     successes = 0
     for key in record.keys_in_grid_order():
         label, e, b, seed = key
         cell = record.cells[key]
         if cell.error is not None:
-            lines.append(f"{label},{_fmt(e)},{b},{seed},error,,,nan,0")
+            rows.append([label, _fmt(e), b, seed, "error", "", "", "nan", "0"])
             print(f"cell {key}: error: {cell.error}", file=sys.stderr)
             continue
         successes += 1
         k_text = "" if cell.steps is None else str(cell.steps)
         sfo_text = "" if cell.sfo is None else str(cell.sfo)
-        lines.append(
-            f"{label},{_fmt(e)},{b},{seed},{k_text},"
-            f"{'true' if cell.censored else 'false'},{sfo_text},"
-            f"{_fmt(cell.final_f)},{_fmt(cell.wall_ms)}"
-        )
+        rows.append([
+            label, _fmt(e), b, seed, k_text, "true" if cell.censored else "false",
+            sfo_text, _fmt(cell.final_f), _fmt(cell.wall_ms),
+        ])
         print(f"cell ({label}, eps={_fmt(e)}, b={b}, seed={seed}): "
               f"K={'censored' if cell.steps is None else cell.steps}")
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(args.out, rows)
     return 0 if successes else 1
 
 
 def _read_sweep_csv(path: str):
-    import csv
-
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
-    expected = ["schedule", "epsilon", "batch", "seed", "K", "censored", "sfo", "final_f", "wall_ms"]
-    if reader.fieldnames != expected:
+    if reader.fieldnames != _SWEEP_HEADER:
         raise FormatError(f"unexpected sweep CSV header {reader.fieldnames}")
     return rows
 
@@ -426,11 +422,9 @@ def cmd_fit(args, parser) -> int:
     print(f"boundary: {'true' if fit.critical_at_boundary else 'false'}")
     print(f"batch_lower_bound: {'none' if bound is None else _fmt(bound)}")
     if args.out:
-        header = (
-            "schedule,epsilon,C1,C2,residual,critical_numeric,"
-            "critical_closed_form,boundary,batch_lower_bound"
-        )
-        row = ",".join(
+        _write_csv(args.out, [
+            ["schedule", "epsilon", "C1", "C2", "residual", "critical_numeric",
+             "critical_closed_form", "boundary", "batch_lower_bound"],
             [
                 label,
                 _fmt(args.epsilon),
@@ -441,10 +435,8 @@ def cmd_fit(args, parser) -> int:
                 "none" if cf is None else _fmt(cf),
                 "true" if fit.critical_at_boundary else "false",
                 "none" if bound is None else _fmt(bound),
-            ]
-        )
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(header + "\n" + row + "\n")
+            ],
+        ])
     return 0
 
 

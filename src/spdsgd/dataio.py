@@ -21,6 +21,7 @@ import numpy as np
 
 from . import manifold
 from .objective import Dataset
+from .symmat import DomainError
 
 
 class FormatError(ValueError):
@@ -222,17 +223,14 @@ def covariance_descriptors(
     centered = cells - cells.mean(axis=1, keepdims=True)
     covs = np.einsum("cpi,cpj->cij", centered, centered) / (g * g - 1)
     covs = covs + regularization * np.eye(5)
-
-    eigvals = np.linalg.eigvalsh(covs)
-    bad = np.nonzero(eigvals[:, 0] <= 0.0)[0]
-    if bad.size:
-        idx = int(bad[0])
+    try:
+        return Dataset(covs)
+    except DomainError as exc:
         raise DataError(
-            f"descriptor for cell {idx} is not positive definite "
-            f"(min eigenvalue {eigvals[idx, 0]:.3e}); increase regularization",
-            index=idx,
-        )
-    return Dataset(covs)
+            f"descriptor for cell {exc.index} is not positive definite "
+            f"(min eigenvalue {exc.eigenvalue:.3e}); increase regularization",
+            index=exc.index,
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +252,11 @@ def write_matrix_set(path, data: Dataset) -> None:
 def read_matrix_set(path) -> Dataset:
     """Read a matrix-set file, validating symmetry and positive definiteness.
 
-    Raises :class:`FormatError` for structural problems (bad header, wrong
-    counts) and :class:`DataError`, with the matrix index, for entries that
-    are not symmetric positive definite.
+    Symmetry is checked here to 1e-12 of each matrix's scale, stricter than
+    :class:`Dataset`; positive definiteness is the dataset's one stacked
+    check.  Raises :class:`FormatError` for structural problems (bad header,
+    wrong counts) and :class:`DataError`, with the matrix index, for entries
+    that are not finite, symmetric and positive definite.
     """
     with open(path, "r", encoding="ascii") as fh:
         rows = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
@@ -289,14 +289,14 @@ def read_matrix_set(path) -> Dataset:
                 values[i, r] = [float(p) for p in parts]
             except ValueError as exc:
                 raise FormatError(f"matrix {i} row {r}: non-numeric entry") from exc
-    for i, a in enumerate(values):
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if np.max(np.abs(a - a.T)) > 1e-12 * scale:
-            raise DataError(f"matrix {i} is not symmetric", index=i)
-        w = np.linalg.eigvalsh(0.5 * (a + a.T))
-        if w[0] <= 0:
-            raise DataError(
-                f"matrix {i} is not positive definite (min eigenvalue {w[0]:.3e})",
-                index=i,
-            )
-    return Dataset(values)
+    with np.errstate(invalid="ignore"):  # nan and inf entries are rejected below
+        scale = np.maximum(1.0, np.max(np.abs(values), axis=(1, 2)))
+        skew = np.max(np.abs(values - values.transpose(0, 2, 1)), axis=(1, 2))
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)) | (skew > 1e-12 * scale))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"matrix {i} is not symmetric or not finite", index=i)
+    try:
+        return Dataset(values)
+    except DomainError as exc:
+        raise DataError(str(exc), index=exc.index) from exc

@@ -57,7 +57,6 @@ class SweepConfig:
     seeds: tuple[int, ...]
     max_steps: int
     n_jobs: int = 1
-    with_replacement: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "schedules", tuple(self.schedules))
@@ -66,6 +65,9 @@ class SweepConfig:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not self.schedules:
             raise ValueError("at least one schedule required")
+        labels = [s.label for s in self.schedules]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"schedules must be distinct, got labels {labels}")
         if not self.epsilons or any(e <= 0 for e in self.epsilons):
             raise ValueError("epsilons must be positive")
         if len(set(self.epsilons)) != len(self.epsilons):
@@ -75,6 +77,10 @@ class SweepConfig:
             raise ValueError("batch_sizes must be ascending, distinct, positive")
         if len(self.seeds) < 2:
             raise ValueError("at least two seeds required for statistical aggregates")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must be distinct")
+        if any(s < 0 for s in self.seeds):
+            raise ValueError("seeds must be nonnegative")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
         if self.n_jobs < 1:
@@ -149,7 +155,6 @@ def _run_job(config: SweepConfig, schedule: StepSchedule, b: int, seed: int):
         seed=seed,
         max_steps=config.max_steps,
         epsilons=eps_desc,
-        with_replacement=config.with_replacement,
     )
     try:
         record = run(run_config)

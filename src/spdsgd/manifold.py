@@ -9,18 +9,18 @@ tangent vectors in one call.
 
 Tangent vectors at ``P`` are represented as plain symmetric matrices; the
 base point is always passed explicitly.
+
+Each map whitens once (:func:`_whiten`) and takes its matrix function
+through :func:`spdsgd.symmat.spectral`.  Public functions validate their
+operands; ``_exp_map``, ``_log_map``, ``_distance`` and ``_inner`` skip
+that for points already validated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .symmat import (
-    DomainError,
-    check_symmetric,
-    symmetrize,
-    _eigh,
-)
+from .symmat import DomainError, check_symmetric, spectral, symmetrize
 
 # Sectional curvature of the SPD cone under this metric is bounded below
 # by -1/2, independent of dimension.
@@ -28,40 +28,46 @@ SPD_CURVATURE_LOWER_BOUND = -0.5
 
 
 def validate_spd(p: np.ndarray, *, name: str = "matrix") -> np.ndarray:
-    """Check that ``p`` is symmetric with strictly positive eigenvalues.
+    """Check that ``p``, one matrix or a stack, is symmetric positive definite.
 
-    Returns the validated float64 array; raises ``ValueError`` otherwise.
+    One stacked ``eigvalsh`` checks every matrix; this is the package's only
+    call to ``np.linalg.eigvalsh``.  Returns the validated float64 array.
+    Raises ``ValueError``; when positivity fails, a :class:`DomainError`
+    carrying the minimum eigenvalue and the (flat) index of the first bad
+    matrix, which a stack's message also names.
     """
     p = check_symmetric(p, name=name)
-    w = np.linalg.eigvalsh(symmetrize(p))
-    if not np.all(w > 0.0):
-        raise ValueError(
-            f"{name} is not positive definite (min eigenvalue {float(w.min()):.6e})"
+    w = np.linalg.eigvalsh(symmetrize(p))[..., 0].ravel()
+    bad = np.flatnonzero(~(w > 0.0))
+    if bad.size:
+        i = int(bad[0])
+        where = f" at index {i}" if p.ndim > 2 else ""
+        raise DomainError(
+            f"{name}{where} is not positive definite (min eigenvalue {w[i]:.6e})",
+            float(w[i]),
+            index=i,
         )
     return p
 
 
-def is_spd(p: np.ndarray) -> bool:
-    try:
-        validate_spd(p)
-        return True
-    except ValueError:
-        return False
-
-
 def sqrt_and_inv_sqrt(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both ``P^{1/2}`` and ``P^{-1/2}`` from a single eigendecomposition."""
-    w, v = _eigh(p)
-    if not np.all(w > 0.0):
-        bad = float(w[w <= 0.0].ravel()[0])
-        raise DomainError(f"eigenvalue {bad:.6e} is not positive", bad)
-    r = np.sqrt(w)
-    half = symmetrize(np.einsum("...ik,...k,...jk->...ij", v, r, v))
-    inv_half = symmetrize(np.einsum("...ik,...k,...jk->...ij", v, 1.0 / r, v))
-    return half, inv_half
+    (half, inv_half), _ = spectral(p, np.sqrt, lambda w: 1.0 / np.sqrt(w), positive=True)
+    return symmetrize(half), symmetrize(inv_half)
 
 
-def _check_tangent(p: np.ndarray, x: np.ndarray, *, name: str = "tangent") -> np.ndarray:
+def _whiten(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(P^{1/2}, P^{-1/2}, P^{-1/2} Q P^{-1/2})`` from one decomposition of ``p``.
+
+    The whitened ``q`` is left unsymmetrized: :func:`spectral` symmetrizes
+    its input, and the Frobenius products of :func:`inner` take it as is.
+    """
+    half, inv_half = sqrt_and_inv_sqrt(p)
+    return half, inv_half, inv_half @ q @ inv_half
+
+
+def _check_operand(p: np.ndarray, x: np.ndarray, name: str) -> np.ndarray:
+    """Validate a symmetric operand (tangent or point) against the base ``p``."""
     x = check_symmetric(x, name=name)
     if x.shape[-1] != p.shape[-1]:
         raise ValueError(
@@ -78,21 +84,19 @@ def inner(p: np.ndarray, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     symmetric in its arguments.
     """
     p = np.asarray(p, dtype=np.float64)
-    x = _check_tangent(p, x, name="X")
-    y = _check_tangent(p, y, name="Y")
-    _, w = sqrt_and_inv_sqrt(p)
-    xw = w @ x @ w
-    yw = w @ y @ w
-    val = np.einsum("...ij,...ij->...", xw, yw)
+    return _inner(p, _check_operand(p, x, "X"), _check_operand(p, y, "Y"))
+
+
+def _inner(p: np.ndarray, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    _, inv_half, xw = _whiten(p, x)
+    val = np.einsum("...ij,...ij->...", xw, inv_half @ y @ inv_half)
     return float(val) if val.ndim == 0 else val
 
 
 def norm(p: np.ndarray, x: np.ndarray) -> float | np.ndarray:
     """Norm induced by the affine-invariant metric at ``p``."""
     p = np.asarray(p, dtype=np.float64)
-    x = _check_tangent(p, x, name="X")
-    _, w = sqrt_and_inv_sqrt(p)
-    xw = w @ x @ w
+    _, _, xw = _whiten(p, _check_operand(p, x, "X"))
     val = np.sqrt(np.einsum("...ij,...ij->...", xw, xw))
     return float(val) if val.ndim == 0 else val
 
@@ -104,25 +108,20 @@ def exp_map(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     inside the cone.
     """
     p = np.asarray(p, dtype=np.float64)
-    x = _check_tangent(p, x, name="X")
-    half, inv_half = sqrt_and_inv_sqrt(p)
-    s = symmetrize(inv_half @ x @ inv_half)
-    w, v = _eigh(s)
-    e = np.einsum("...ik,...k,...jk->...ij", v, np.exp(w), v)
+    return _exp_map(p, _check_operand(p, x, "X"))
+
+
+def _exp_map(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    half, _, s = _whiten(p, x)
+    (e,), _ = spectral(s, np.exp)
     return symmetrize(half @ e @ half)
 
 
-def _whitened_log(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``log(P^{-1/2} Q P^{-1/2})`` with a positivity guard on the spectrum."""
-    _, inv_half = sqrt_and_inv_sqrt(p)
-    s = symmetrize(inv_half @ q @ inv_half)
-    w, v = _eigh(s)
-    if not np.all(w > 0.0):
-        bad = float(w[w <= 0.0].ravel()[0])
-        raise DomainError(
-            f"relative eigenvalue {bad:.6e} is not positive; argument not SPD", bad
-        )
-    return np.einsum("...ik,...k,...jk->...ij", v, np.log(w), v)
+def _whitened_log(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(P^{1/2}, log(P^{-1/2} Q P^{-1/2}))``; the relative spectrum must be positive."""
+    half, _, s = _whiten(p, q)
+    (lw,), _ = spectral(s, np.log, positive=True)
+    return half, lw
 
 
 def log_map(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -132,13 +131,12 @@ def log_map(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     defined because the cone has nonpositive curvature.
     """
     p = np.asarray(p, dtype=np.float64)
-    q = check_symmetric(q, name="Q")
-    if q.shape[-1] != p.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: P has dim {p.shape[-1]}, Q has dim {q.shape[-1]}"
-        )
-    half, _ = sqrt_and_inv_sqrt(p)
-    return symmetrize(half @ _whitened_log(p, q) @ half)
+    return _log_map(p, _check_operand(p, q, "Q"))
+
+
+def _log_map(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    half, lw = _whitened_log(p, q)
+    return symmetrize(half @ lw @ half)
 
 
 def distance(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
@@ -148,12 +146,11 @@ def distance(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
     invertible matrix.
     """
     p = np.asarray(p, dtype=np.float64)
-    q = check_symmetric(q, name="Q")
-    if q.shape[-1] != p.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: P has dim {p.shape[-1]}, Q has dim {q.shape[-1]}"
-        )
-    lw = _whitened_log(p, q)
+    return _distance(p, _check_operand(p, q, "Q"))
+
+
+def _distance(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
+    _, lw = _whitened_log(p, q)
     val = np.sqrt(np.einsum("...ij,...ij->...", lw, lw))
     return float(val) if val.ndim == 0 else val
 
@@ -167,14 +164,9 @@ def parallel_transport(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarra
     """
     p = np.asarray(p, dtype=np.float64)
     q = validate_spd(q, name="Q")
-    x = _check_tangent(p, x, name="X")
-    half, inv_half = sqrt_and_inv_sqrt(p)
-    s = symmetrize(inv_half @ q @ inv_half)
-    w, v = _eigh(s)
-    if not np.all(w > 0.0):
-        bad = float(w[w <= 0.0].ravel()[0])
-        raise DomainError(f"relative eigenvalue {bad:.6e} is not positive", bad)
-    s_half = np.einsum("...ik,...k,...jk->...ij", v, np.sqrt(w), v)
+    x = _check_operand(p, x, "X")
+    half, inv_half, s = _whiten(p, q)
+    (s_half,), _ = spectral(s, np.sqrt, positive=True)
     e = half @ s_half @ inv_half
     return symmetrize(e @ x @ np.swapaxes(e, -1, -2))
 

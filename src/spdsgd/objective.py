@@ -10,9 +10,10 @@ they are unbiased estimators of the full gradient with per-sample variance
 shrinking as ``1/b`` in the batch size ``b``.
 
 Everything funnels through one whitened eigendecomposition of the stack
-``M^{-1/2} A_i M^{-1/2}``, so evaluating the loss, the full gradient, its
-norm, and the per-sample gradient variance at the same point costs a single
-stacked ``eigh``.
+``M^{-1/2} A_i M^{-1/2}`` by :func:`spdsgd.symmat.spectral`, so evaluating
+the loss, the full gradient, its norm, and the per-sample gradient variance
+at the same point costs a single stacked ``eigh``.  A :class:`Dataset` is
+validated once, by one stacked check on construction.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import manifold
-from .symmat import _eigh, symmetrize
+from .symmat import spectral, symmetrize
+from .symmat import _eigh  # noqa: F401  (bench/bench_trace.py wraps this binding by name)
 
 
 @dataclass(frozen=True)
@@ -42,11 +44,7 @@ class Dataset:
             raise ValueError(f"points must have shape (n, d, d), got {pts.shape}")
         if pts.shape[0] < 1:
             raise ValueError("dataset must contain at least one matrix")
-        for i, a in enumerate(pts):
-            try:
-                manifold.validate_spd(a, name=f"matrix {i}")
-            except ValueError as exc:
-                raise ValueError(f"dataset invalid at index {i}: {exc}") from exc
+        manifold.validate_spd(pts)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -82,15 +80,14 @@ def _whitened_logs(m: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.nd
 
     Returns ``(logs, sqdists, m_half)``.
     """
-    half, inv_half = manifold.sqrt_and_inv_sqrt(m)
-    s = symmetrize(inv_half @ points @ inv_half)
-    w, v = _eigh(s)
-    if not np.all(w > 0.0):
-        raise ValueError("dataset matrix not SPD relative to base point")
-    lw = np.log(w)
-    logs = np.einsum("nik,nk,njk->nij", v, lw, v)
-    sqdists = np.einsum("nk,nk->n", lw, lw)
-    return logs, sqdists, half
+    half, _, s = manifold._whiten(m, points)
+    (logs,), (lw,) = spectral(s, np.log, positive=True)
+    return logs, np.einsum("nk,nk->n", lw, lw), half
+
+
+def _gradient(half: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Riemannian gradient ``-2 M^{1/2} mean(logs) M^{1/2}`` of the terms in ``logs``."""
+    return symmetrize(half @ (-2.0 * logs.mean(axis=0)) @ half)
 
 
 def _check_base(m: np.ndarray, data: Dataset) -> np.ndarray:
@@ -118,7 +115,7 @@ def full_gradient(m: np.ndarray, data: Dataset) -> np.ndarray:
     """Riemannian gradient of the centroid loss; zero exactly at the centroid."""
     m = _check_base(m, data)
     logs, _, half = _whitened_logs(m, data.points)
-    return symmetrize(half @ (-2.0 * logs.mean(axis=0)) @ half)
+    return _gradient(half, logs)
 
 
 def sample_batch(
@@ -153,7 +150,7 @@ def batch_gradient(m: np.ndarray, data: Dataset, batch: np.ndarray) -> np.ndarra
     if batch.min() < 0 or batch.max() >= data.n:
         raise ValueError(f"batch index out of range [0, {data.n})")
     logs, _, half = _whitened_logs(m, data.points[batch])
-    return symmetrize(half @ (-2.0 * logs.mean(axis=0)) @ half)
+    return _gradient(half, logs)
 
 
 def gradient_variance(m: np.ndarray, data: Dataset) -> float:
@@ -164,10 +161,7 @@ def gradient_variance(m: np.ndarray, data: Dataset) -> float:
     single-point sampling, and the batch-gradient deviation is exactly this
     divided by the batch size.
     """
-    m = _check_base(m, data)
-    logs, _, _ = _whitened_logs(m, data.points)
-    centered = logs - logs.mean(axis=0)
-    return float(4.0 * np.einsum("nij,nij->", centered, centered) / data.n)
+    return objective_summary(m, data).sigma2
 
 
 def max_gradient_norm(trace) -> float:
@@ -212,9 +206,7 @@ def batch_gradient_from_summary(summary: ObjectiveSummary, batch: np.ndarray) ->
     eigendecomposition is computed per matrix, so selecting rows before or
     after decomposing yields the same floats.
     """
-    logs = summary.whitened_logs[np.asarray(batch)]
-    half = summary.base_sqrt
-    return symmetrize(half @ (-2.0 * logs.mean(axis=0)) @ half)
+    return _gradient(summary.base_sqrt, summary.whitened_logs[np.asarray(batch)])
 
 
 @dataclass(frozen=True)
@@ -273,9 +265,9 @@ def estimate_smoothness(
     dim = data.dim
     best = -1.0
     for _ in range(probes):
-        x = manifold.exp_map(region.center, _random_tangent(rng, dim, region.radius))
-        y = manifold.exp_map(x, _random_tangent(rng, dim, region.radius))
-        if manifold.distance(x, y) < 1e-12:
+        x = manifold._exp_map(region.center, _random_tangent(rng, dim, region.radius))
+        y = manifold._exp_map(x, _random_tangent(rng, dim, region.radius))
+        if manifold._distance(x, y) < 1e-12:
             continue
         best = max(best, smoothness_ratio(data, x, y))
     if best < 0.0:

@@ -21,6 +21,9 @@ from numpy.random import Generator, Philox
 
 from . import manifold, objective
 from .objective import Dataset
+from .symmat import NumericalError
+
+_STEP_FAILURES = (ValueError, FloatingPointError, NumericalError)
 
 
 class ConvergenceError(RuntimeError):
@@ -119,8 +122,10 @@ def stationarity_gap(p: np.ndarray, grad: np.ndarray, ref: np.ndarray) -> float:
 
     Nonpositive for every ``ref`` exactly when ``grad`` vanishes, so its
     running average gauges convergence without needing a smoothness constant.
+    The inputs are not validated: ``p`` and ``ref`` must be SPD and ``grad``
+    symmetric, as they are inside :func:`run`.
     """
-    return float(manifold.inner(p, grad, -manifold.log_map(p, ref)))
+    return float(manifold._inner(p, grad, -manifold._log_map(p, ref)))
 
 
 @dataclass(frozen=True)
@@ -135,17 +140,15 @@ class RunConfig:
     max_steps: int
     epsilons: tuple[float, ...] = ()
     reference: np.ndarray | None = None
-    eval_stride: int = 1
-    with_replacement: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "x0", manifold.validate_spd(self.x0, name="x0"))
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
-        if self.eval_stride < 1:
-            raise ValueError("eval_stride must be >= 1")
         eps = tuple(float(e) for e in self.epsilons)
         if any(e <= 0.0 for e in eps):
             raise ValueError("epsilons must be strictly positive")
@@ -164,8 +167,8 @@ class RunRecord:
 
     Arrays are indexed by iterate: entry ``k`` was measured at ``x_k``, so a
     run of ``K`` steps yields arrays of length ``K + 1`` (``alpha`` has
-    length ``K``).  ``stationarity`` and ``ref_distance`` are NaN at steps
-    where they were not evaluated or when no reference point was supplied.
+    length ``K``).  ``stationarity`` and ``ref_distance`` are NaN when no
+    reference point was supplied.
     """
 
     f: np.ndarray
@@ -200,9 +203,11 @@ def run(config: RunConfig) -> RunRecord:
 
     Stops after ``max_steps`` steps, or as soon as the loss has dropped below
     every threshold in ``epsilons``.  ``steps_to_epsilon[eps]`` is the first
-    iterate index with ``f(x_k) < eps`` (None if never reached).  The loss
-    and gradient norm are evaluated at every iterate; the stationarity gap
-    and distance to the reference every ``eval_stride`` iterates.
+    iterate index with ``f(x_k) < eps`` (None if never reached).  The loss,
+    the gradient norm and, with a reference point, the stationarity gap and
+    the distance to the reference are evaluated at every iterate.  A failed
+    evaluation or update, or a non-finite iterate, raises :class:`RunError`
+    carrying the last finite iterate.
     """
     t_start = time.perf_counter()
     data = config.data
@@ -224,23 +229,22 @@ def run(config: RunConfig) -> RunRecord:
     while True:
         try:
             summary = objective.objective_summary(x, data)
-        except (ValueError, FloatingPointError) as exc:
+            if config.reference is None:
+                gap = d_ref = np.nan
+            else:
+                grad = objective.batch_gradient_from_summary(summary, np.arange(n))
+                gap = stationarity_gap(x, grad, config.reference)
+                d_ref = float(manifold._distance(x, config.reference))
+                max_ref_distance = max(max_ref_distance, d_ref)
+        except _STEP_FAILURES as exc:
             raise RunError(f"objective evaluation failed at step {k}: {exc}", k, x) from exc
         f_trace.append(summary.value)
         gnorm_trace.append(summary.grad_norm)
+        stat_trace.append(gap)
+        dist_trace.append(d_ref)
         if k == 0:
             sigma2_initial = summary.sigma2
         sigma2_max = max(sigma2_max, summary.sigma2)
-
-        if config.reference is not None and k % config.eval_stride == 0:
-            grad = objective.batch_gradient_from_summary(summary, np.arange(n))
-            stat_trace.append(stationarity_gap(x, grad, config.reference))
-            d_ref = float(manifold.distance(x, config.reference))
-            dist_trace.append(d_ref)
-            max_ref_distance = max(max_ref_distance, d_ref)
-        else:
-            stat_trace.append(np.nan)
-            dist_trace.append(np.nan)
 
         for e in list(eps_left):
             if summary.value < e:
@@ -251,14 +255,15 @@ def run(config: RunConfig) -> RunRecord:
             break
 
         a_k = step_size(config.schedule, k)
-        batch = objective.sample_batch(
-            step_rng(config.seed, k), n, config.batch_size, replace=config.with_replacement
-        )
+        batch = objective.sample_batch(step_rng(config.seed, k), n, config.batch_size)
         g = objective.batch_gradient_from_summary(summary, batch)
         try:
-            x = manifold.exp_map(x, -a_k * g)
-        except (ValueError, FloatingPointError) as exc:
+            x_next = manifold._exp_map(x, -a_k * g)
+            if not np.all(np.isfinite(x_next)):
+                raise FloatingPointError("iterate has non-finite entries")
+        except _STEP_FAILURES as exc:
             raise RunError(f"update failed at step {k}: {exc}", k, x) from exc
+        x = x_next
         alpha_trace.append(a_k)
         k += 1
 
@@ -294,7 +299,7 @@ def reference_centroid(data: Dataset, tol: float, max_iters: int = 1_000_000) ->
         if summary.grad_norm < tol:
             return x
         grad = objective.batch_gradient_from_summary(summary, np.arange(data.n))
-        cand = manifold.exp_map(x, -alpha * grad)
+        cand = manifold._exp_map(x, -alpha * grad)
         cand_summary = objective.objective_summary(cand, data)
         # Near the optimum the loss decrease drops below float resolution
         # while the gradient norm still contracts; either counts as progress.

@@ -6,6 +6,10 @@ Eigenvalues are returned in descending order and eigenvector signs follow a
 fixed convention (first nonzero component positive), which makes repeated
 calls on identical input bit-identical even in the presence of degenerate
 eigenvalues.
+
+:func:`spectral` is the package's one spectral kernel: every matrix function
+in this module, :mod:`spdsgd.manifold` and :mod:`spdsgd.objective` goes
+through it, and its :func:`_eigh` is the only call to ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -16,11 +20,13 @@ import numpy as np
 
 
 class DomainError(ValueError):
-    """An eigenvalue fell outside the domain of the requested scalar function."""
+    """An eigenvalue fell outside the domain of the requested scalar function;
+    ``index``, when reported, is the offending matrix's flat position in a stack."""
 
-    def __init__(self, message: str, eigenvalue: float):
+    def __init__(self, message: str, eigenvalue: float, index: int | None = None):
         super().__init__(message)
         self.eigenvalue = eigenvalue
+        self.index = index
 
 
 class NumericalError(RuntimeError):
@@ -48,19 +54,23 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 def check_symmetric(a: np.ndarray, *, name: str = "matrix") -> np.ndarray:
     """Validate that ``a`` is a finite, square, (numerically) symmetric array.
 
-    Returns the array as float64. Asymmetry beyond a small multiple of the
-    matrix scale is an input error; exact storage symmetry is not required
-    because downstream code symmetrizes.
+    Returns the array as float64. Asymmetry beyond a small multiple of each
+    matrix's own scale is an input error, and a stack's message names the
+    first offender; exact storage symmetry is not required because
+    downstream code symmetrizes.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    skew = np.max(np.abs(a - np.swapaxes(a, -1, -2)))
-    if skew > 1e-10 * scale:
-        raise ValueError(f"{name} is not symmetric (max asymmetry {skew:.3e})")
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1))).ravel()
+    skew = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1)).ravel()
+    bad = np.flatnonzero(skew > 1e-10 * scale)
+    if bad.size:
+        i = int(bad[0])
+        where = f" at index {i}" if a.ndim > 2 else ""
+        raise ValueError(f"{name}{where} is not symmetric (asymmetry {skew[i]:.3e})")
     return a
 
 
@@ -89,51 +99,54 @@ def sym_eigen(s: np.ndarray) -> EigenDecomp:
     return EigenDecomp(w, v)
 
 
+def spectral(
+    s: np.ndarray, *fns: Callable[[np.ndarray], np.ndarray], positive: bool = False
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The spectral kernel: ``V @ diag(f(w)) @ V.T`` for each ``f`` in ``fns``.
+
+    ``V diag(w) V.T`` is the descending eigendecomposition of the symmetrized
+    input, computed once for all ``fns``.  With ``positive``, every
+    eigenvalue must be strictly positive; the first offender is reported in
+    a :class:`DomainError`.  Returns ``(matrices, spectra)``: one matrix
+    ``V @ diag(f(w)) @ V.T`` and one spectrum ``f(w)`` per function.  The
+    input is not validated and the matrices are not symmetrized.
+    """
+    w, v = _eigh(s)
+    if positive and not np.all(w > 0.0):
+        bad = float(w[~(w > 0.0)].ravel()[0])
+        raise DomainError(f"eigenvalue {bad:.6e} is not positive", bad)
+    spectra = [f(w) for f in fns]
+    return [np.einsum("...ik,...k,...jk->...ij", v, fw, v) for fw in spectra], spectra
+
+
 def sym_apply_fn(
-    s: np.ndarray,
-    fn: Callable[[np.ndarray], np.ndarray],
-    domain_guard: Callable[[np.ndarray], np.ndarray] | None = None,
-    *,
-    fn_name: str = "function",
+    s: np.ndarray, fn: Callable[[np.ndarray], np.ndarray], *, positive: bool = False
 ) -> np.ndarray:
     """Apply a scalar function to a symmetric matrix through its spectrum.
 
     Returns ``V @ diag(fn(w)) @ V.T``, symmetric, so the eigenvalues of the
-    output are exactly ``fn`` of the eigenvalues of the input.  When
-    ``domain_guard`` is given, every eigenvalue must satisfy it; the first
+    output are exactly ``fn`` of the eigenvalues of the input.  With
+    ``positive``, every eigenvalue must be strictly positive; the first
     offender is reported in a :class:`DomainError`.
     """
     s = check_symmetric(s, name="input")
-    w, v = _eigh(s)
-    if domain_guard is not None:
-        ok = np.asarray(domain_guard(w))
-        if not np.all(ok):
-            bad = float(w[~ok].ravel()[0])
-            raise DomainError(
-                f"eigenvalue {bad:.6e} outside the domain of {fn_name}", bad
-            )
-    fw = fn(w)
-    return symmetrize(np.einsum("...ik,...k,...jk->...ij", v, fw, v))
+    (out,), _ = spectral(s, fn, positive=positive)
+    return symmetrize(out)
 
 
 def sym_exp(s: np.ndarray) -> np.ndarray:
     """Matrix exponential of a symmetric matrix."""
-    return sym_apply_fn(s, np.exp, fn_name="exp")
+    return sym_apply_fn(s, np.exp)
 
 
 def sym_log(s: np.ndarray) -> np.ndarray:
     """Matrix logarithm; requires all eigenvalues strictly positive."""
-    return sym_apply_fn(s, np.log, lambda w: w > 0.0, fn_name="log")
+    return sym_apply_fn(s, np.log, positive=True)
 
 
 def sym_sqrt(s: np.ndarray) -> np.ndarray:
     """Symmetric positive square root; requires all eigenvalues strictly positive."""
-    return sym_apply_fn(s, np.sqrt, lambda w: w > 0.0, fn_name="sqrt")
-
-
-def sym_inv_sqrt(s: np.ndarray) -> np.ndarray:
-    """Inverse symmetric square root; requires all eigenvalues strictly positive."""
-    return sym_apply_fn(s, lambda w: 1.0 / np.sqrt(w), lambda w: w > 0.0, fn_name="inv-sqrt")
+    return sym_apply_fn(s, np.sqrt, positive=True)
 
 
 def congruence(g: np.ndarray, s: np.ndarray) -> np.ndarray:

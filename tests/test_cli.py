@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -67,6 +68,12 @@ class TestGen:
                 "--center", "scale:3.0", "--out", str(path)])
         data = dataio.read_matrix_set(path)
         np.testing.assert_allclose(data.points[0], 3.0 * np.eye(2), rtol=1e-6, atol=1e-7)
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            invoke(["gen", "--seed", "-1", "--out", str(tmp_path / "x.msf")])
+        assert exc.value.code == 2
+        assert "error: --seed must be nonnegative" in capsys.readouterr().err
 
     def test_config_file_merges_under_flags(self, tmp_path):
         conf = tmp_path / "conf.json"
@@ -152,6 +159,14 @@ class TestRun:
         assert invoke(["run", "--data", str(tmp_path / "nope.msf"),
                        "--out", str(tmp_path / "o.csv")]) == 1
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        data = make_data(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            invoke(["run", "--data", str(data), "--seed", "-3",
+                    "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert "error: --seed must be nonnegative" in capsys.readouterr().err
+
 
 def write_sweep(tmp_path, data, name="sweep.csv", jobs="1"):
     out = tmp_path / name
@@ -190,6 +205,38 @@ class TestSweep:
         s2 = write_sweep(tmp_path, data, "s2.csv", jobs="2")
         strip = lambda p: [ln.rsplit(",", 1)[0] for ln in p.read_text().splitlines()]
         assert strip(s1) == strip(s2)
+
+    def test_negative_or_repeated_seeds_are_usage_errors(self, tmp_path, capsys):
+        data = make_data(tmp_path)
+        for seeds, message in (("-1,0", "seeds must be nonnegative"),
+                               ("0,0", "seeds must be distinct")):
+            with pytest.raises(SystemExit) as exc:
+                invoke(["sweep", "--data", str(data), f"--seeds={seeds}",
+                        "--out", str(tmp_path / "s.csv")])
+            assert exc.value.code == 2
+            assert f"error: {message}" in capsys.readouterr().err
+
+    def test_staircase_sweep_fits(self, tmp_path, capsys):
+        # A staircase label holds commas; both CSVs must quote it so that
+        # fit reads the sweep's rows and its own output parses back.
+        data = tmp_path / "data.msf"
+        assert invoke(["gen", "--n", "12", "--d", "3", "--spread", "0.4", "--center", "scale:2",
+                       "--seed", "3", "--out", str(data)]) == 0
+        sweep_csv, fit_csv = tmp_path / "sweep.csv", tmp_path / "fit.csv"
+        assert invoke(["sweep", "--data", str(data), "--schedule", "staircase:0.05,0.5,20,2",
+                       "--epsilons", "0.9", "--batches", "2^2..2^4", "--seeds", "0,1",
+                       "--steps", "400", "--out", str(sweep_csv)]) == 0
+        with open(sweep_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(r) == 9 and r[0] == "staircase:0.05,0.5,20,2" for r in rows[1:])
+        assert invoke(["fit", "--sweep-csv", str(sweep_csv), "--schedule", "staircase",
+                       "--epsilon", "0.9", "--sigma2", "1", "--G", "1",
+                       "--out", str(fit_csv)]) == 0
+        assert "schedule: staircase:0.05,0.5,20,2" in capsys.readouterr().out
+        with open(fit_csv, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert len(row) == len(header) == 9
+        assert row[:2] == ["staircase:0.05,0.5,20,2", "0.90000000000000002"]
 
     def test_row_order_fixed_by_grid(self, tmp_path):
         data = make_data(tmp_path)

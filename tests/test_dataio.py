@@ -206,6 +206,21 @@ class TestMatrixSetFile:
         with pytest.raises(DataError, match="positive definite"):
             read_matrix_set(path)
 
+    def test_non_finite_matrix_rejected(self, tmp_path):
+        path = tmp_path / "bad.msf"
+        for row in ("nan 0", "inf 0", "1 inf"):
+            path.write_text(f"2 2\n1 0\n0 1\n{row}\n0 1\n")
+            with pytest.raises(DataError, match="not finite") as err:
+                read_matrix_set(path)
+            assert err.value.index == 1
+
+    def test_non_spd_matrix_index_reported(self, tmp_path):
+        path = tmp_path / "bad.msf"
+        path.write_text("2 3\n1 0\n0 1\n2 0\n0 -1\n1 0\n0 -1\n")
+        with pytest.raises(DataError, match="index 1 is not positive definite") as err:
+            read_matrix_set(path)
+        assert err.value.index == 1
+
     def test_header_count_mismatch(self, tmp_path):
         path = tmp_path / "short.msf"
         path.write_text("2 2\n1 0\n0 1\n")

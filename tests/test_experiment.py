@@ -97,6 +97,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="positive"):
             small_sweep_config(rng, epsilons=(-1.0,))
 
+    def test_config_rejects_repeated_cells(self, rng):
+        with pytest.raises(ValueError, match="seeds must be distinct"):
+            small_sweep_config(rng, seeds=(0, 0))
+        with pytest.raises(ValueError, match="schedules must be distinct"):
+            small_sweep_config(
+                rng, schedules=(StepSchedule.constant(0.05), StepSchedule.constant(0.05))
+            )
+        with pytest.raises(ValueError, match="nonnegative"):
+            small_sweep_config(rng, seeds=(-1, 0))
+
 
 class TestMonotoneConvex:
     def test_hand_example(self):

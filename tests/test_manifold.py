@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from spdsgd import manifold
+from spdsgd import manifold, symmat
 from spdsgd.manifold import (
     SPD_CURVATURE_LOWER_BOUND,
     curvature_factor,
@@ -14,6 +14,7 @@ from spdsgd.manifold import (
     parallel_transport,
     validate_spd,
 )
+from spdsgd.symmat import DomainError
 
 from conftest import random_invertible, random_spd, random_tangent, triangle_slacks
 
@@ -207,6 +208,28 @@ def test_all_operations_affine_invariant(rng):
 def test_validate_spd_rejects_indefinite():
     with pytest.raises(ValueError, match="positive definite"):
         validate_spd(np.diag([1.0, -1.0]))
+
+
+def test_validate_spd_checks_a_stack_in_one_call(rng, monkeypatch):
+    stack = np.stack([random_spd(rng, 3) for _ in range(4)])
+    np.testing.assert_array_equal(validate_spd(stack), stack)
+    stack[2] = np.diag([1.0, -2.0, 3.0])
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    with pytest.raises(DomainError, match="at index 2 is not positive definite") as err:
+        validate_spd(stack)
+    assert (err.value.index, err.value.eigenvalue) == (2, -2.0)
+    assert calls == [(4, 3, 3)]
+
+
+def test_log_map_decomposes_the_base_once(rng, monkeypatch):
+    p, q = random_spd(rng, 3), random_spd(rng, 3)
+    shapes = []
+    eigh = symmat._eigh
+    monkeypatch.setattr(symmat, "_eigh", lambda s: shapes.append(np.shape(s)) or eigh(s))
+    log_map(p, q)
+    assert shapes == [(3, 3), (3, 3)]  # P, then the whitened Q
 
 
 def test_manifold_curvature_constant():

@@ -188,6 +188,8 @@ class TestRun:
             )
         with pytest.raises(ValueError, match="positive definite"):
             RunConfig(data, np.diag([1.0, -1.0, 1.0]), StepSchedule.constant(0.1), 2, 0, 10)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            RunConfig(data, np.eye(3), StepSchedule.constant(0.1), 2, -1, 10)
 
 
 class TestReferenceCentroid:
@@ -298,6 +300,17 @@ def test_midrun_failure_carries_state(rng):
         run(RunConfig(data, x0, StepSchedule.constant(1.0), 2, 0, 50))
     assert err.value.step >= 0
     assert np.all(np.isfinite(err.value.last_point))
+
+
+def test_non_finite_update_carries_last_finite_point(rng, monkeypatch):
+    # The loop's exponential map skips input checks; a non-finite iterate
+    # must still end the run with the point it was computed from.
+    data = cloud(rng, 4, 3)
+    monkeypatch.setattr(manifold, "_exp_map", lambda p, x: np.full_like(p, np.nan))
+    with pytest.raises(RunError, match="update failed at step 0") as err:
+        run(RunConfig(data, np.eye(3), StepSchedule.constant(0.1), 2, 0, 5))
+    assert err.value.step == 0
+    np.testing.assert_array_equal(err.value.last_point, np.eye(3))
 
 
 def test_sigma2_reporting(rng):

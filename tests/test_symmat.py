@@ -1,5 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import spdsgd
 
 from spdsgd.symmat import (
     DomainError,
@@ -111,6 +116,19 @@ def test_domain_guard_reports_offender():
     assert err.value.eigenvalue == pytest.approx(-3.0)
 
 
+def test_positive_guard_is_optional():
+    s = np.diag([2.0, -3.0])
+    np.testing.assert_allclose(sym_apply_fn(s, np.square), np.diag([4.0, 9.0]))
+    with pytest.raises(DomainError):
+        sym_apply_fn(s, np.square, positive=True)
+
+
+def test_stacked_asymmetry_names_the_matrix():
+    stack = np.stack([np.eye(2), np.eye(2), [[1.0, 1e-3], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match="at index 2 is not symmetric"):
+        sym_eigen(stack)
+
+
 def test_congruence_identity(rng):
     s = random_spd(rng, 3)
     np.testing.assert_array_equal(congruence(np.eye(3), s), s)
@@ -138,3 +156,32 @@ def test_symmetrize():
     out = symmetrize(a)
     np.testing.assert_array_equal(out, out.T)
     np.testing.assert_allclose(out, [[1.0, 1.0], [1.0, 1.0]])
+
+
+def _call_sites(name):
+    """``(module file, innermost enclosing function)`` of every call to ``name``
+    in the package, whether written ``np.linalg.name(...)`` or ``name(...)``."""
+    sites = set()
+    for path in sorted(Path(spdsgd.__file__).parent.glob("*.py")):
+        scope = ["<module>"]
+
+        class Visitor(ast.NodeVisitor):
+            def visit_FunctionDef(self, node):
+                scope.append(node.name)
+                self.generic_visit(node)
+                scope.pop()
+
+            def visit_Call(self, node):
+                if getattr(node.func, "attr", getattr(node.func, "id", None)) == name:
+                    sites.add((path.name, scope[-1]))
+                self.generic_visit(node)
+
+        Visitor().visit(ast.parse(path.read_text()))
+    return sites
+
+
+def test_numpy_eigensolvers_have_one_call_site_each():
+    # Every decomposition goes through the spectral kernel's _eigh, and every
+    # eigenvalue-only check through the stacked SPD validation.
+    assert _call_sites("eigh") == {("symmat.py", "_eigh")}
+    assert _call_sites("eigvalsh") == {("manifold.py", "validate_spd")}
