@@ -90,15 +90,37 @@ def parse_schedule_spec(text: str) -> StepSchedule:
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 
-def _merge_config(args: argparse.Namespace, keys: dict[str, str]) -> None:
-    """Fill flag values left at None from the JSON config file ('flags win')."""
+# JSON type of each scalar flag a config file may set, by destination.  The
+# other flags take a string or a list, and parse its items as they parse flags.
+_CONFIG_TYPES = {
+    "n": int, "d": int, "T": int, "seed": int,
+    "spread": float, "alpha": float, "gamma": float, "data": str, "schedule": str,
+}
+
+
+def _merge_config(args: argparse.Namespace, parser, keys: dict[str, str]) -> None:
+    """Fill flag values left at None from the JSON config file ('flags win').
+
+    A non-object config or a value that does not fit its flag is a usage error.
+    """
     if not getattr(args, "config", None):
         return
     with open(args.config, "r", encoding="utf-8") as fh:
         conf = json.load(fh)
-    for json_key, dest in keys.items():
-        if json_key in conf and getattr(args, dest, None) is None:
-            setattr(args, dest, conf[json_key])
+    if not isinstance(conf, dict):
+        parser.error(f"config {args.config} must hold a JSON object, got {type(conf).__name__}")
+    for key, dest in keys.items():
+        if key not in conf or getattr(args, dest, None) is not None:
+            continue
+        value, kind = conf[key], _CONFIG_TYPES.get(dest, (str, list))
+        fits = isinstance(value, (int, float) if kind is float else kind)
+        if isinstance(value, bool) or not fits:
+            want = kind.__name__ if isinstance(kind, type) else "str or list"
+            parser.error(f"config {args.config}: {key!r} must be {want}, got {value!r}")
+        if isinstance(value, list):  # the flag parses each item as its own text
+            items = [str(v) for v in value]
+            value = ",".join(items) if dest.endswith("_text") else items
+        setattr(args, dest, value)
 
 
 def _parse_center(spec: str, dim: int):
@@ -123,7 +145,7 @@ def _parse_center(spec: str, dim: int):
 
 
 def cmd_gen(args, parser) -> int:
-    _merge_config(args, {"n": "n", "d": "d", "spread": "spread", "seed": "seed"})
+    _merge_config(args, parser, {"n": "n", "d": "d", "spread": "spread", "seed": "seed"})
     n = args.n if args.n is not None else 256
     d = args.d if args.d is not None else 5
     spread = args.spread if args.spread is not None else 0.5
@@ -177,16 +199,15 @@ def _schedule_from_run_flags(args, parser, n_points: int) -> StepSchedule:
             return StepSchedule.constant(alpha)
         if kind == "inverse_sqrt":
             return StepSchedule.inverse_sqrt()
-        if kind == "staircase":
-            return StepSchedule.staircase(alpha, gamma, period, stages)
+        return StepSchedule.staircase(alpha, gamma, period, stages)
     except ValueError as exc:
         parser.error(str(exc))
-    parser.error(f"unknown schedule {kind!r}")
 
 
 def cmd_run(args, parser) -> int:
     _merge_config(
         args,
+        parser,
         {
             "data": "data",
             "schedule": "schedule",
@@ -213,11 +234,7 @@ def cmd_run(args, parser) -> int:
     if seed < 0:
         parser.error("--seed must be nonnegative")
     eps_text = args.epsilons_text if args.epsilons_text is not None else "0.5,0.25"
-    if isinstance(eps_text, list):
-        epsilons = tuple(float(e) for e in eps_text)
-    else:
-        epsilons = tuple(_parse_floats(eps_text))
-    epsilons = tuple(sorted(set(epsilons), reverse=True))
+    epsilons = tuple(sorted(set(_parse_floats(eps_text)), reverse=True))
     if any(e <= 0 for e in epsilons):
         parser.error("epsilons must be positive")
 
@@ -258,6 +275,7 @@ def cmd_run(args, parser) -> int:
 def cmd_sweep(args, parser) -> int:
     _merge_config(
         args,
+        parser,
         {
             "data": "data",
             "schedule": "schedules",
@@ -277,17 +295,14 @@ def cmd_sweep(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     batches_text = args.batches_text if args.batches_text is not None else "2^4..2^9"
-    if isinstance(batches_text, list):
-        batches = tuple(int(b) for b in batches_text)
-    else:
-        try:
-            batches = tuple(parse_batches(batches_text))
-        except ValueError as exc:
-            parser.error(str(exc))
+    try:
+        batches = tuple(parse_batches(batches_text))
+    except ValueError as exc:
+        parser.error(str(exc))
     eps_text = args.epsilons_text if args.epsilons_text is not None else "0.5,0.25"
-    epsilons = tuple(eps_text) if isinstance(eps_text, list) else tuple(_parse_floats(eps_text))
+    epsilons = tuple(_parse_floats(eps_text))
     seeds_text = args.seeds_text if args.seeds_text is not None else "0,1"
-    seeds = tuple(seeds_text) if isinstance(seeds_text, list) else tuple(_parse_ints(seeds_text))
+    seeds = tuple(_parse_ints(seeds_text))
     steps = args.steps if args.steps is not None else 10_000
     jobs = args.jobs if args.jobs is not None else 1
     if steps < 1:

@@ -15,8 +15,6 @@ Lines starting with ``#`` are ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import manifold
@@ -140,29 +138,6 @@ def write_pgm(path, image: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Non-overlapping square tiling of an image: cell size must divide both
-    image dimensions."""
-
-    width: int
-    height: int
-    cell: int
-
-    def __post_init__(self):
-        if self.cell < 1:
-            raise ValueError("cell size must be positive")
-        if self.width % self.cell or self.height % self.cell:
-            raise ValueError(
-                f"cell size {self.cell} does not divide image "
-                f"{self.width}x{self.height}"
-            )
-
-    @property
-    def cells(self) -> int:
-        return (self.width // self.cell) * (self.height // self.cell)
-
-
 def pixel_features(image: np.ndarray) -> np.ndarray:
     """Per-pixel feature vectors: intensity and absolute derivatives.
 
@@ -190,10 +165,10 @@ def default_regularization(image: np.ndarray) -> float:
 
 def covariance_descriptors(
     image: np.ndarray,
-    grid: GridSpec | int,
+    cell: int,
     regularization: float | None = None,
 ) -> Dataset:
-    """One 5x5 covariance descriptor per grid cell of a grayscale image.
+    """One 5x5 covariance descriptor per ``cell x cell`` tile of a grayscale image.
 
     Each cell's descriptor is the sample covariance of its per-pixel feature
     vectors plus ``regularization`` times the identity; a 128x128 image with
@@ -204,24 +179,19 @@ def covariance_descriptors(
     if img.ndim != 2:
         raise ValueError("image must be 2-d")
     h, w = img.shape
-    if isinstance(grid, int):
-        grid = GridSpec(width=w, height=h, cell=grid)
-    if (grid.width, grid.height) != (w, h):
-        raise ValueError(
-            f"grid is for {grid.width}x{grid.height}, image is {w}x{h}"
-        )
+    if cell < 1 or w % cell or h % cell:
+        raise ValueError(f"cell size {cell} does not divide image {w}x{h}")
     if regularization is None:
         regularization = default_regularization(img)
     if regularization < 0:
         raise ValueError("regularization must be nonnegative")
 
-    g = grid.cell
     feats = pixel_features(img)
-    # (rows of cells, g, cols of cells, g, 5) -> (cells, pixels-per-cell, 5)
-    tiled = feats.reshape(h // g, g, w // g, g, 5).transpose(0, 2, 1, 3, 4)
-    cells = tiled.reshape(-1, g * g, 5)
+    # (rows of cells, cell, cols of cells, cell, 5) -> (cells, pixels-per-cell, 5)
+    tiled = feats.reshape(h // cell, cell, w // cell, cell, 5).transpose(0, 2, 1, 3, 4)
+    cells = tiled.reshape(-1, cell * cell, 5)
     centered = cells - cells.mean(axis=1, keepdims=True)
-    covs = np.einsum("cpi,cpj->cij", centered, centered) / (g * g - 1)
+    covs = np.einsum("cpi,cpj->cij", centered, centered) / (cell * cell - 1)
     covs = covs + regularization * np.eye(5)
     try:
         return Dataset(covs)

@@ -12,8 +12,10 @@ base point is always passed explicitly.
 
 Each map whitens once (:func:`_whiten`) and takes its matrix function
 through :func:`spdsgd.symmat.spectral`.  Public functions validate their
-operands; ``_exp_map``, ``_log_map``, ``_distance`` and ``_inner`` skip
-that for points already validated.
+operands and then decompose the base point once into its root pair
+``(P^{1/2}, P^{-1/2})`` (:func:`_edge`).  The unchecked internals
+``_exp_map``, ``_log_map``, ``_distance`` and ``_inner`` take that pair, so
+a caller holding a point's roots (an objective summary) passes them on.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .symmat import DomainError, check_symmetric, spectral, symmetrize
 # Sectional curvature of the SPD cone under this metric is bounded below
 # by -1/2, independent of dimension.
 SPD_CURVATURE_LOWER_BOUND = -0.5
+
+_Roots = tuple[np.ndarray, np.ndarray]  # (P^{1/2}, P^{-1/2}), see sqrt_and_inv_sqrt
 
 
 def validate_spd(p: np.ndarray, *, name: str = "matrix") -> np.ndarray:
@@ -56,14 +60,23 @@ def sqrt_and_inv_sqrt(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return symmetrize(half), symmetrize(inv_half)
 
 
-def _whiten(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(P^{1/2}, P^{-1/2}, P^{-1/2} Q P^{-1/2})`` from one decomposition of ``p``.
+def _whiten(roots: _Roots, q: np.ndarray) -> np.ndarray:
+    """``P^{-1/2} Q P^{-1/2}``, left unsymmetrized: :func:`spectral`
+    symmetrizes its input, and the Frobenius products take it as is."""
+    _, inv_half = roots
+    return inv_half @ q @ inv_half
 
-    The whitened ``q`` is left unsymmetrized: :func:`spectral` symmetrizes
-    its input, and the Frobenius products of :func:`inner` take it as is.
-    """
-    half, inv_half = sqrt_and_inv_sqrt(p)
-    return half, inv_half, inv_half @ q @ inv_half
+
+def _unwhiten(roots: _Roots, s: np.ndarray) -> np.ndarray:
+    """``P^{1/2} S P^{1/2}``, symmetrized: a whitened tangent back at ``P``."""
+    half, _ = roots
+    return symmetrize(half @ s @ half)
+
+
+def _frobenius(a: np.ndarray) -> float | np.ndarray:
+    """Frobenius norm of each matrix in ``a``."""
+    val = np.sqrt(np.einsum("...ij,...ij->...", a, a))
+    return float(val) if val.ndim == 0 else val
 
 
 def _check_operand(p: np.ndarray, x: np.ndarray, name: str) -> np.ndarray:
@@ -76,6 +89,13 @@ def _check_operand(p: np.ndarray, x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
+def _edge(p: np.ndarray, **operands: np.ndarray) -> tuple:
+    """Validate the named operands against ``p``; return ``(roots of p, *operands)``."""
+    p = np.asarray(p, dtype=np.float64)
+    checked = [_check_operand(p, x, name) for name, x in operands.items()]
+    return (sqrt_and_inv_sqrt(p), *checked)
+
+
 def inner(p: np.ndarray, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """Affine-invariant inner product ``tr(X P^-1 Y P^-1)`` at base point ``p``.
 
@@ -83,22 +103,18 @@ def inner(p: np.ndarray, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     ``P^-1/2 X P^-1/2`` and ``P^-1/2 Y P^-1/2``, which is numerically
     symmetric in its arguments.
     """
-    p = np.asarray(p, dtype=np.float64)
-    return _inner(p, _check_operand(p, x, "X"), _check_operand(p, y, "Y"))
+    return _inner(*_edge(p, X=x, Y=y))
 
 
-def _inner(p: np.ndarray, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
-    _, inv_half, xw = _whiten(p, x)
-    val = np.einsum("...ij,...ij->...", xw, inv_half @ y @ inv_half)
+def _inner(roots: _Roots, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    val = np.einsum("...ij,...ij->...", _whiten(roots, x), _whiten(roots, y))
     return float(val) if val.ndim == 0 else val
 
 
 def norm(p: np.ndarray, x: np.ndarray) -> float | np.ndarray:
     """Norm induced by the affine-invariant metric at ``p``."""
-    p = np.asarray(p, dtype=np.float64)
-    _, _, xw = _whiten(p, _check_operand(p, x, "X"))
-    val = np.sqrt(np.einsum("...ij,...ij->...", xw, xw))
-    return float(val) if val.ndim == 0 else val
+    roots, x = _edge(p, X=x)
+    return _frobenius(_whiten(roots, x))
 
 
 def exp_map(p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -107,21 +123,18 @@ def exp_map(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     Maps a tangent vector at ``p`` to the manifold; always lands strictly
     inside the cone.
     """
-    p = np.asarray(p, dtype=np.float64)
-    return _exp_map(p, _check_operand(p, x, "X"))
+    return _exp_map(*_edge(p, X=x))
 
 
-def _exp_map(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    half, _, s = _whiten(p, x)
-    (e,), _ = spectral(s, np.exp)
-    return symmetrize(half @ e @ half)
+def _exp_map(roots: _Roots, x: np.ndarray) -> np.ndarray:
+    (e,), _ = spectral(_whiten(roots, x), np.exp)
+    return _unwhiten(roots, e)
 
 
-def _whitened_log(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(P^{1/2}, log(P^{-1/2} Q P^{-1/2}))``; the relative spectrum must be positive."""
-    half, _, s = _whiten(p, q)
-    (lw,), _ = spectral(s, np.log, positive=True)
-    return half, lw
+def _whitened_log(roots: _Roots, q: np.ndarray) -> np.ndarray:
+    """``log(P^{-1/2} Q P^{-1/2})``; the relative spectrum must be positive."""
+    (lw,), _ = spectral(_whiten(roots, q), np.log, positive=True)
+    return lw
 
 
 def log_map(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -130,13 +143,11 @@ def log_map(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     Closed form ``P^{1/2} log(P^{-1/2} Q P^{-1/2}) P^{1/2}``; globally
     defined because the cone has nonpositive curvature.
     """
-    p = np.asarray(p, dtype=np.float64)
-    return _log_map(p, _check_operand(p, q, "Q"))
+    return _log_map(*_edge(p, Q=q))
 
 
-def _log_map(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    half, lw = _whitened_log(p, q)
-    return symmetrize(half @ lw @ half)
+def _log_map(roots: _Roots, q: np.ndarray) -> np.ndarray:
+    return _unwhiten(roots, _whitened_log(roots, q))
 
 
 def distance(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
@@ -145,14 +156,11 @@ def distance(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
     Symmetric in its arguments and invariant under congruence by any
     invertible matrix.
     """
-    p = np.asarray(p, dtype=np.float64)
-    return _distance(p, _check_operand(p, q, "Q"))
+    return _distance(*_edge(p, Q=q))
 
 
-def _distance(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
-    _, lw = _whitened_log(p, q)
-    val = np.sqrt(np.einsum("...ij,...ij->...", lw, lw))
-    return float(val) if val.ndim == 0 else val
+def _distance(roots: _Roots, q: np.ndarray) -> float | np.ndarray:
+    return _frobenius(_whitened_log(roots, q))
 
 
 def parallel_transport(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -162,11 +170,10 @@ def parallel_transport(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarra
     an isometry of the tangent spaces: the norm at ``q`` of the result equals
     the norm of ``x`` at ``p``.
     """
-    p = np.asarray(p, dtype=np.float64)
     q = validate_spd(q, name="Q")
-    x = _check_operand(p, x, "X")
-    half, inv_half, s = _whiten(p, q)
-    (s_half,), _ = spectral(s, np.sqrt, positive=True)
+    roots, x = _edge(p, X=x)
+    half, inv_half = roots
+    (s_half,), _ = spectral(_whiten(roots, q), np.sqrt, positive=True)
     e = half @ s_half @ inv_half
     return symmetrize(e @ x @ np.swapaxes(e, -1, -2))
 

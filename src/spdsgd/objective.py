@@ -12,8 +12,10 @@ shrinking as ``1/b`` in the batch size ``b``.
 Everything funnels through one whitened eigendecomposition of the stack
 ``M^{-1/2} A_i M^{-1/2}`` by :func:`spdsgd.symmat.spectral`, so evaluating
 the loss, the full gradient, its norm, and the per-sample gradient variance
-at the same point costs a single stacked ``eigh``.  A :class:`Dataset` is
-validated once, by one stacked check on construction.
+at the same point costs a single stacked ``eigh`` once ``M`` is decomposed
+into its roots ``(M^{1/2}, M^{-1/2})``, which a summary keeps for the
+optimizer's update.  A :class:`Dataset` is validated once, by one stacked
+check on construction.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import manifold
-from .symmat import spectral, symmetrize
+from .symmat import spectral
 from .symmat import _eigh  # noqa: F401  (bench/bench_trace.py wraps this binding by name)
 
 
@@ -64,7 +66,8 @@ class ObjectiveSummary:
     ``whitened_logs[i] = log(M^{-1/2} A_i M^{-1/2})`` determines everything:
     squared distances are its squared Frobenius norms, the whitened full
     gradient is ``-2`` times its mean, and metric norms of tangents at ``M``
-    equal Frobenius norms of their whitened forms.
+    equal Frobenius norms of their whitened forms.  ``roots`` is the pair
+    ``(M^{1/2}, M^{-1/2})`` that the manifold internals take.
     """
 
     value: float
@@ -72,22 +75,22 @@ class ObjectiveSummary:
     sigma2: float
     whitened_logs: np.ndarray = field(repr=False)
     sqdists: np.ndarray = field(repr=False)
-    base_sqrt: np.ndarray = field(repr=False)
+    roots: manifold._Roots = field(repr=False)
 
 
-def _whitened_logs(m: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _whitened_logs(m: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Whitened log stack for a base point: ``log(M^-1/2 A_i M^-1/2)``.
 
-    Returns ``(logs, sqdists, m_half)``.
+    Returns ``(logs, sqdists, roots)``, with ``roots`` the root pair of ``m``.
     """
-    half, _, s = manifold._whiten(m, points)
-    (logs,), (lw,) = spectral(s, np.log, positive=True)
-    return logs, np.einsum("nk,nk->n", lw, lw), half
+    roots = manifold.sqrt_and_inv_sqrt(m)
+    (logs,), (lw,) = spectral(manifold._whiten(roots, points), np.log, positive=True)
+    return logs, np.einsum("nk,nk->n", lw, lw), roots
 
 
-def _gradient(half: np.ndarray, logs: np.ndarray) -> np.ndarray:
+def _gradient(roots: manifold._Roots, logs: np.ndarray) -> np.ndarray:
     """Riemannian gradient ``-2 M^{1/2} mean(logs) M^{1/2}`` of the terms in ``logs``."""
-    return symmetrize(half @ (-2.0 * logs.mean(axis=0)) @ half)
+    return manifold._unwhiten(roots, -2.0 * logs.mean(axis=0))
 
 
 def _check_base(m: np.ndarray, data: Dataset) -> np.ndarray:
@@ -114,27 +117,20 @@ def point_gradient(m: np.ndarray, a: np.ndarray) -> np.ndarray:
 def full_gradient(m: np.ndarray, data: Dataset) -> np.ndarray:
     """Riemannian gradient of the centroid loss; zero exactly at the centroid."""
     m = _check_base(m, data)
-    logs, _, half = _whitened_logs(m, data.points)
-    return _gradient(half, logs)
+    logs, _, roots = _whitened_logs(m, data.points)
+    return _gradient(roots, logs)
 
 
-def sample_batch(
-    rng: np.random.Generator, n: int, b: int, *, replace: bool = True
-) -> np.ndarray:
-    """Draw a batch of ``b`` indices uniform over ``[0, n)``.
+def sample_batch(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
+    """Draw ``b`` i.i.d. indices uniform over ``[0, n)`` (with replacement).
 
-    With replacement by default (i.i.d. samples); ``replace=False`` requires
-    ``b <= n``.  Deterministic given the generator state.
+    Deterministic given the generator state.
     """
     if n < 1:
         raise ValueError("dataset size must be positive")
     if b < 1:
         raise ValueError("batch size must be positive")
-    if replace:
-        return rng.integers(0, n, size=b)
-    if b > n:
-        raise ValueError(f"cannot draw {b} distinct indices from {n} points")
-    return rng.choice(n, size=b, replace=False)
+    return rng.integers(0, n, size=b)
 
 
 def batch_gradient(m: np.ndarray, data: Dataset, batch: np.ndarray) -> np.ndarray:
@@ -149,8 +145,8 @@ def batch_gradient(m: np.ndarray, data: Dataset, batch: np.ndarray) -> np.ndarra
         raise ValueError("batch must be a nonempty 1-d index array")
     if batch.min() < 0 or batch.max() >= data.n:
         raise ValueError(f"batch index out of range [0, {data.n})")
-    logs, _, half = _whitened_logs(m, data.points[batch])
-    return _gradient(half, logs)
+    logs, _, roots = _whitened_logs(m, data.points[batch])
+    return _gradient(roots, logs)
 
 
 def gradient_variance(m: np.ndarray, data: Dataset) -> float:
@@ -184,7 +180,7 @@ def objective_summary(m: np.ndarray, data: Dataset) -> ObjectiveSummary:
     without a second eigendecomposition.
     """
     m = _check_base(m, data)
-    logs, sqdists, half = _whitened_logs(m, data.points)
+    logs, sqdists, roots = _whitened_logs(m, data.points)
     mean_log = logs.mean(axis=0)
     grad_norm = 2.0 * float(np.sqrt(np.einsum("ij,ij->", mean_log, mean_log)))
     centered = logs - mean_log
@@ -195,7 +191,7 @@ def objective_summary(m: np.ndarray, data: Dataset) -> ObjectiveSummary:
         sigma2=sigma2,
         whitened_logs=logs,
         sqdists=sqdists,
-        base_sqrt=half,
+        roots=roots,
     )
 
 
@@ -206,7 +202,7 @@ def batch_gradient_from_summary(summary: ObjectiveSummary, batch: np.ndarray) ->
     eigendecomposition is computed per matrix, so selecting rows before or
     after decomposing yields the same floats.
     """
-    return _gradient(summary.base_sqrt, summary.whitened_logs[np.asarray(batch)])
+    return _gradient(summary.roots, summary.whitened_logs[np.asarray(batch)])
 
 
 @dataclass(frozen=True)
@@ -241,12 +237,17 @@ def smoothness_ratio(data: Dataset, x: np.ndarray, y: np.ndarray) -> float:
     taken along the connecting geodesic; the supremum of this ratio over a
     region is the geodesic smoothness constant of the loss there.
     """
-    gx = full_gradient(x, data)
-    gy = full_gradient(y, data)
-    gap = gx - manifold.parallel_transport(y, x, gy)
     dxy = manifold.distance(x, y)
     if dxy < 1e-12:
         raise ValueError("points too close for a smoothness ratio")
+    return _smoothness_ratio(data, x, y, dxy)
+
+
+def _smoothness_ratio(data: Dataset, x: np.ndarray, y: np.ndarray, dxy: float) -> float:
+    """:func:`smoothness_ratio` given the distance ``dxy = d(x, y)``."""
+    gx = full_gradient(x, data)
+    gy = full_gradient(y, data)
+    gap = gx - manifold.parallel_transport(y, x, gy)
     return float(manifold.norm(x, gap)) / float(dxy)
 
 
@@ -263,13 +264,16 @@ def estimate_smoothness(
     if probes < 1:
         raise ValueError("probes must be positive")
     dim = data.dim
+    center_roots = manifold.sqrt_and_inv_sqrt(region.center)
     best = -1.0
     for _ in range(probes):
-        x = manifold._exp_map(region.center, _random_tangent(rng, dim, region.radius))
-        y = manifold._exp_map(x, _random_tangent(rng, dim, region.radius))
-        if manifold._distance(x, y) < 1e-12:
+        x = manifold._exp_map(center_roots, _random_tangent(rng, dim, region.radius))
+        x_roots = manifold.sqrt_and_inv_sqrt(x)
+        y = manifold._exp_map(x_roots, _random_tangent(rng, dim, region.radius))
+        dxy = manifold._distance(x_roots, y)
+        if dxy < 1e-12:
             continue
-        best = max(best, smoothness_ratio(data, x, y))
+        best = max(best, _smoothness_ratio(data, x, y, dxy))
     if best < 0.0:
         raise RuntimeError("all sampled pairs were degenerate; cannot estimate smoothness")
     return best

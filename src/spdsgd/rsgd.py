@@ -25,6 +25,8 @@ from .symmat import NumericalError
 
 _STEP_FAILURES = (ValueError, FloatingPointError, NumericalError)
 
+_ORACLE_MAX_ITERS = 1_000_000
+
 
 class ConvergenceError(RuntimeError):
     """The reference-centroid solver hit its iteration cap."""
@@ -125,7 +127,14 @@ def stationarity_gap(p: np.ndarray, grad: np.ndarray, ref: np.ndarray) -> float:
     The inputs are not validated: ``p`` and ``ref`` must be SPD and ``grad``
     symmetric, as they are inside :func:`run`.
     """
-    return float(manifold._inner(p, grad, -manifold._log_map(p, ref)))
+    return _reference_metrics(manifold.sqrt_and_inv_sqrt(p), grad, ref)[0]
+
+
+def _reference_metrics(roots: manifold._Roots, grad: np.ndarray, ref: np.ndarray) -> tuple:
+    """Stationarity gap and distance to ``ref`` from one whitened log of ``ref``."""
+    lw = manifold._whitened_log(roots, ref)
+    gap = manifold._inner(roots, grad, -manifold._unwhiten(roots, lw))
+    return float(gap), float(manifold._frobenius(lw))
 
 
 @dataclass(frozen=True)
@@ -220,9 +229,7 @@ def run(config: RunConfig) -> RunRecord:
     alpha_trace: list[float] = []
     stat_trace: list[float] = []
     dist_trace: list[float] = []
-    sigma2_initial = np.nan
-    sigma2_max = -np.inf
-    max_ref_distance = -np.inf
+    sigma2_trace: list[float] = []
 
     x = config.x0
     k = 0
@@ -233,18 +240,14 @@ def run(config: RunConfig) -> RunRecord:
                 gap = d_ref = np.nan
             else:
                 grad = objective.batch_gradient_from_summary(summary, np.arange(n))
-                gap = stationarity_gap(x, grad, config.reference)
-                d_ref = float(manifold._distance(x, config.reference))
-                max_ref_distance = max(max_ref_distance, d_ref)
+                gap, d_ref = _reference_metrics(summary.roots, grad, config.reference)
         except _STEP_FAILURES as exc:
             raise RunError(f"objective evaluation failed at step {k}: {exc}", k, x) from exc
         f_trace.append(summary.value)
         gnorm_trace.append(summary.grad_norm)
         stat_trace.append(gap)
         dist_trace.append(d_ref)
-        if k == 0:
-            sigma2_initial = summary.sigma2
-        sigma2_max = max(sigma2_max, summary.sigma2)
+        sigma2_trace.append(summary.sigma2)
 
         for e in list(eps_left):
             if summary.value < e:
@@ -258,7 +261,7 @@ def run(config: RunConfig) -> RunRecord:
         batch = objective.sample_batch(step_rng(config.seed, k), n, config.batch_size)
         g = objective.batch_gradient_from_summary(summary, batch)
         try:
-            x_next = manifold._exp_map(x, -a_k * g)
+            x_next = manifold._exp_map(summary.roots, -a_k * g)
             if not np.all(np.isfinite(x_next)):
                 raise FloatingPointError("iterate has non-finite entries")
         except _STEP_FAILURES as exc:
@@ -275,15 +278,15 @@ def run(config: RunConfig) -> RunRecord:
         ref_distance=np.asarray(dist_trace),
         steps_to_epsilon=hits,
         final_point=x,
-        sigma2_initial=float(sigma2_initial),
-        sigma2_max=float(sigma2_max),
+        sigma2_initial=sigma2_trace[0],
+        sigma2_max=max(sigma2_trace),
         grad_norm_max=float(np.max(gnorm_trace)),
-        max_ref_distance=float(max_ref_distance) if config.reference is not None else np.nan,
+        max_ref_distance=float(np.max(dist_trace)),
         wall_time_s=time.perf_counter() - t_start,
     )
 
 
-def reference_centroid(data: Dataset, tol: float, max_iters: int = 1_000_000) -> np.ndarray:
+def reference_centroid(data: Dataset, tol: float) -> np.ndarray:
     """High-accuracy Riemannian centroid by guaranteed-descent full-gradient steps.
 
     Starts from the arithmetic mean (always SPD), takes full-gradient steps
@@ -295,11 +298,11 @@ def reference_centroid(data: Dataset, tol: float, max_iters: int = 1_000_000) ->
     x = np.mean(data.points, axis=0)
     summary = objective.objective_summary(x, data)
     alpha = 0.5
-    for _ in range(max_iters):
+    for _ in range(_ORACLE_MAX_ITERS):
         if summary.grad_norm < tol:
             return x
         grad = objective.batch_gradient_from_summary(summary, np.arange(data.n))
-        cand = manifold._exp_map(x, -alpha * grad)
+        cand = manifold._exp_map(summary.roots, -alpha * grad)
         cand_summary = objective.objective_summary(cand, data)
         # Near the optimum the loss decrease drops below float resolution
         # while the gradient norm still contracts; either counts as progress.
@@ -313,6 +316,6 @@ def reference_centroid(data: Dataset, tol: float, max_iters: int = 1_000_000) ->
                     summary.grad_norm,
                 )
     raise ConvergenceError(
-        f"no convergence within {max_iters} iterations; gradient norm {summary.grad_norm:.3e}",
+        f"no convergence in {_ORACLE_MAX_ITERS} iterations; gradient norm {summary.grad_norm:.3e}",
         summary.grad_norm,
     )

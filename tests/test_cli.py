@@ -85,6 +85,30 @@ class TestGen:
         invoke(["gen", "--config", str(conf), "--n", "7", "--out", str(p2)])
         assert dataio.read_matrix_set(p2).n == 7  # explicit flag wins
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [("5", "conf.json"), ('["n"]', "conf.json"), ('{"n": "abc"}', "'n'")],
+        ids=["number", "list", "mistyped-value"],
+    )
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, text, named):
+        conf = tmp_path / "conf.json"
+        conf.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            invoke(["gen", "--config", str(conf), "--out", str(tmp_path / "x.msf")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: config" in err and named in err
+
+    def test_config_lists_parse_like_flags(self, tmp_path):
+        data = make_data(tmp_path)
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"epsilons": [0.5, 0.25], "T": 3, "schedule": "staircase"}))
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        invoke(["run", "--data", str(data), "--config", str(conf), "--steps", "5", "--out", str(p1)])
+        invoke(["run", "--data", str(data), "--schedule", "staircase", "--T", "3",
+                "--epsilons", "0.5,0.25", "--steps", "5", "--out", str(p2)])
+        assert p1.read_bytes() == p2.read_bytes()
+
 
 class TestDescriptors:
     def test_grid_counts(self, tmp_path):

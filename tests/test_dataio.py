@@ -5,7 +5,6 @@ from spdsgd import manifold
 from spdsgd.dataio import (
     DataError,
     FormatError,
-    GridSpec,
     covariance_descriptors,
     default_regularization,
     generate_synthetic,
@@ -136,7 +135,7 @@ class TestDescriptors:
 
     def test_grid_must_divide(self):
         with pytest.raises(ValueError, match="does not divide"):
-            GridSpec(width=10, height=8, cell=4)
+            covariance_descriptors(np.zeros((8, 10)), 4)
 
     def test_translation_consistency(self, rng):
         # A texture with the cell period is invariant under a one-cell

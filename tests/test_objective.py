@@ -126,17 +126,11 @@ class TestBatchSampling:
         sigma = np.sqrt(10**5 * (1 / 8) * (7 / 8))
         assert np.all(np.abs(counts - expected) <= 3 * sigma)
 
-    def test_without_replacement_option(self, rng):
-        batch = sample_batch(rng, 12, 12, replace=False)
-        assert sorted(batch) == list(range(12))
-
     def test_invalid_arguments(self, rng):
         with pytest.raises(ValueError):
             sample_batch(rng, 0, 4)
         with pytest.raises(ValueError):
             sample_batch(rng, 4, 0)
-        with pytest.raises(ValueError):
-            sample_batch(rng, 4, 5, replace=False)
 
 
 class TestBatchGradient:

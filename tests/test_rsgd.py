@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spdsgd import manifold
+from spdsgd import manifold, symmat
 from spdsgd.objective import (
     Ball,
     Dataset,
@@ -306,11 +306,26 @@ def test_non_finite_update_carries_last_finite_point(rng, monkeypatch):
     # The loop's exponential map skips input checks; a non-finite iterate
     # must still end the run with the point it was computed from.
     data = cloud(rng, 4, 3)
-    monkeypatch.setattr(manifold, "_exp_map", lambda p, x: np.full_like(p, np.nan))
+    monkeypatch.setattr(manifold, "_exp_map", lambda roots, x: np.full_like(x, np.nan))
     with pytest.raises(RunError, match="update failed at step 0") as err:
         run(RunConfig(data, np.eye(3), StepSchedule.constant(0.1), 2, 0, 5))
     assert err.value.step == 0
     np.testing.assert_array_equal(err.value.last_point, np.eye(3))
+
+
+@pytest.mark.parametrize("with_reference, per_step", [(True, 4), (False, 3)])
+def test_run_decomposes_each_point_once(rng, monkeypatch, with_reference, per_step):
+    # Per step: the iterate's root pair and the whitened data stack (the
+    # summary), the exponential map, and with a reference one whitened log.
+    data = cloud(rng, 8, 3)
+    reference = reference_centroid(data, 1e-9) if with_reference else None
+    config = RunConfig(data, np.eye(3), StepSchedule.constant(0.05), 2, 0, 5, reference=reference)
+    calls = []
+    eigh = symmat._eigh
+    monkeypatch.setattr(symmat, "_eigh", lambda s: calls.append(np.shape(s)) or eigh(s))
+    record = run(config)
+    # Steps plus the final iterate's evaluation, which takes no update.
+    assert len(calls) == per_step * record.steps + (per_step - 1)
 
 
 def test_sigma2_reporting(rng):
