@@ -10,15 +10,22 @@ Subcommands::
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.  All
 randomness flows from ``--seed``; numbers are printed with 17 significant
-digits and a ``.`` decimal separator regardless of locale.  A JSON config
-file (``--config``) supplies defaults for flags not given explicitly;
-explicit flags always win.
+digits and a ``.`` decimal separator regardless of locale.
+
+Each flag's default lives in its ``add_argument``, and each list flag is
+parsed by its argparse ``type``, so bad flag text is a usage error.  For
+``gen``, ``run`` and ``sweep``, a JSON object in ``--config`` sets the
+defaults of any flag but ``--config`` and ``--out``, keyed by the flag's
+name or dest and parsed by the flag's own ``type``; explicit flags win.
+``fit`` reads the schedule's parameters from its label in the sweep CSV
+(:meth:`StepSchedule.parse`).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -48,14 +55,33 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_floats(text: str) -> list[float]:
+def _flag_type(parse):
+    """``parse`` as an argparse ``type``: its ValueError becomes a usage error
+    that keeps the message, where argparse would print only the function name."""
+
+    @functools.wraps(parse)
+    def flag_type(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return flag_type
+
+
+@_flag_type
+def float_list(text: str) -> list[float]:
+    """Comma list of numbers: ``0.5,0.25``."""
     return [float(t) for t in text.split(",") if t.strip()]
 
 
-def _parse_ints(text: str) -> list[int]:
+@_flag_type
+def int_list(text: str) -> list[int]:
+    """Comma list of integers: ``0,1,2``."""
     return [int(t) for t in text.split(",") if t.strip()]
 
 
+@_flag_type
 def parse_batches(text: str) -> list[int]:
     """Batch list grammar: ``16,32,64`` or a power range ``2^4..2^9``."""
     text = text.strip()
@@ -67,60 +93,71 @@ def parse_batches(text: str) -> list[int]:
         if lo > hi:
             raise ValueError(f"empty batch range {text!r}")
         return [2**p for p in range(lo, hi + 1)]
-    return _parse_ints(text)
+    return int_list(text)
 
 
-def parse_schedule_spec(text: str) -> StepSchedule:
-    """Schedule grammar: ``constant:<alpha>``, ``inverse_sqrt``, or
-    ``staircase:<alpha>,<gamma>,<T>,<n>``."""
-    kind, _, rest = text.partition(":")
-    if kind == "constant":
-        return StepSchedule.constant(float(rest))
-    if kind == "inverse_sqrt":
-        if rest:
-            raise ValueError("inverse_sqrt takes no parameters")
-        return StepSchedule.inverse_sqrt()
-    if kind == "staircase":
-        parts = rest.split(",")
-        if len(parts) != 4:
-            raise ValueError("staircase spec needs alpha,gamma,T,n")
-        return StepSchedule.staircase(
-            float(parts[0]), float(parts[1]), int(parts[2]), int(parts[3])
-        )
-    raise ValueError(f"unknown schedule kind {kind!r}")
+@_flag_type
+def schedule_list(text: str) -> list[StepSchedule]:
+    """One ``--schedule`` use of ``sweep``, as a list that later uses extend."""
+    return [StepSchedule.parse(text)]
 
 
-# JSON type of each scalar flag a config file may set, by destination.  The
-# other flags take a string or a list, and parse its items as they parse flags.
-_CONFIG_TYPES = {
-    "n": int, "d": int, "T": int, "seed": int,
-    "spread": float, "alpha": float, "gamma": float, "data": str, "schedule": str,
-}
+@_flag_type
+def batch_range(text: str) -> tuple[float, float]:
+    """``lo:hi`` with ``0 < lo < hi``."""
+    try:
+        lo, hi = (float(t) for t in text.split(":"))
+    except ValueError:
+        lo = hi = math.nan
+    if not 0 < lo < hi:
+        raise ValueError(f"expected lo:hi with 0 < lo < hi, got {text!r}")
+    return lo, hi
 
 
-def _merge_config(args: argparse.Namespace, parser, keys: dict[str, str]) -> None:
-    """Fill flag values left at None from the JSON config file ('flags win').
+class _Repeatable(argparse.Action):
+    """A flag that may repeat, each use extending a list; the first use
+    replaces the default, whether built in or set from ``--config``."""
 
-    A non-object config or a value that does not fit its flag is a usage error.
+    def __call__(self, parser, namespace, values, option_string=None):
+        so_far = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, ([] if so_far is self.default else so_far) + values)
+
+
+def _set_config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the JSON object in ``path`` the defaults of ``parser``'s flags.
+
+    A key names a flag by option (``schedule``) or by dest (``schedules``);
+    every flag but ``--config`` and ``--out`` may be set, and other keys are
+    ignored.  Each value, or a list joined with ``,``, is parsed by the flag's
+    own ``type``; each item of a repeatable flag is one use of it.  Input that
+    is not a JSON object, or a value the flag rejects, is a usage error.
     """
-    if not getattr(args, "config", None):
-        return
-    with open(args.config, "r", encoding="utf-8") as fh:
-        conf = json.load(fh)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            conf = json.load(fh)
+        except ValueError as exc:
+            parser.error(f"config {path} is not valid JSON: {exc}")
     if not isinstance(conf, dict):
-        parser.error(f"config {args.config} must hold a JSON object, got {type(conf).__name__}")
-    for key, dest in keys.items():
-        if key not in conf or getattr(args, dest, None) is not None:
+        parser.error(f"config {path} must hold a JSON object, got {type(conf).__name__}")
+    defaults = {}
+    for action in parser._actions:
+        names = [action.dest, *(opt.lstrip("-") for opt in action.option_strings)]
+        key = next((name for name in names if name in conf), None)
+        if key is None or action.dest in ("help", "config", "out"):
             continue
-        value, kind = conf[key], _CONFIG_TYPES.get(dest, (str, list))
-        fits = isinstance(value, (int, float) if kind is float else kind)
-        if isinstance(value, bool) or not fits:
-            want = kind.__name__ if isinstance(kind, type) else "str or list"
-            parser.error(f"config {args.config}: {key!r} must be {want}, got {value!r}")
-        if isinstance(value, list):  # the flag parses each item as its own text
-            items = [str(v) for v in value]
-            value = ",".join(items) if dest.endswith("_text") else items
-        setattr(args, dest, value)
+        items = conf[key] if isinstance(conf[key], list) else [conf[key]]
+        try:
+            if isinstance(action, _Repeatable):
+                value = [x for item in items for x in action.type(str(item))]
+            else:
+                text = ",".join(str(item) for item in items)
+                value = action.type(text) if action.type else text
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"must be one of {', '.join(action.choices)}, got {value!r}")
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"config {path}: {key!r}: {exc}")
+        defaults[action.dest] = value
+    parser.set_defaults(**defaults)
 
 
 def _parse_center(spec: str, dim: int):
@@ -145,21 +182,16 @@ def _parse_center(spec: str, dim: int):
 
 
 def cmd_gen(args, parser) -> int:
-    _merge_config(args, parser, {"n": "n", "d": "d", "spread": "spread", "seed": "seed"})
-    n = args.n if args.n is not None else 256
-    d = args.d if args.d is not None else 5
-    spread = args.spread if args.spread is not None else 0.5
-    seed = args.seed if args.seed is not None else 0
-    if n < 1 or d < 1:
+    if args.n < 1 or args.d < 1:
         parser.error("--n and --d must be positive")
-    if spread <= 0:
+    if args.spread <= 0:
         parser.error("--spread must be positive")
-    if seed < 0:
+    if args.seed < 0:
         parser.error("--seed must be nonnegative")
 
-    center = _parse_center(args.center, d)
-    rng = Generator(Philox(key=np.uint64(seed)))
-    data = dataio.generate_synthetic(rng, n, d, center, spread)
+    center = _parse_center(args.center, args.d)
+    rng = Generator(Philox(key=np.uint64(args.seed)))
+    data = dataio.generate_synthetic(rng, args.n, args.d, center, args.spread)
     dataio.write_matrix_set(args.out, data)
     eig = sym_eigen(data.points).eigenvalues
     print(
@@ -171,15 +203,16 @@ def cmd_gen(args, parser) -> int:
 
 def cmd_descriptors(args, parser) -> int:
     image = dataio.read_pgm(args.pgm)
-    h, w = image.shape
-    if args.grid < 1 or h % args.grid or w % args.grid:
-        parser.error(f"--grid {args.grid} does not tile a {w}x{h} image")
-    if args.reg is not None and args.reg < 0:
-        parser.error("--reg must be nonnegative")
-    data = dataio.covariance_descriptors(image, args.grid, args.reg)
+    try:
+        data = dataio.covariance_descriptors(image, args.grid, args.reg)
+    except DataError:
+        raise
+    except ValueError as exc:  # a cell size or ridge the image cannot take
+        parser.error(str(exc))
     dataio.write_matrix_set(args.out, data)
     spreads = data.points.max(axis=0) - data.points.min(axis=0)
     note = " (all descriptors identical)" if np.all(spreads == 0) else ""
+    h, w = image.shape
     print(
         f"wrote {data.n} covariance descriptors ({data.dim}x{data.dim}) "
         f"from {w}x{h} image with {args.grid}x{args.grid} cells to {args.out}{note}"
@@ -187,67 +220,33 @@ def cmd_descriptors(args, parser) -> int:
     return 0
 
 
-def _schedule_from_run_flags(args, parser, n_points: int) -> StepSchedule:
-    kind = args.schedule
-    alpha = args.alpha if args.alpha is not None else 5e-4
-    gamma = args.gamma if args.gamma is not None else 0.5
-    stages = args.n if args.n is not None else 10
-    batch = args.batch if args.batch is not None else 16
-    period = args.T if args.T is not None else max(1, math.ceil(n_points / batch))
-    try:
-        if kind == "constant":
-            return StepSchedule.constant(alpha)
-        if kind == "inverse_sqrt":
-            return StepSchedule.inverse_sqrt()
-        return StepSchedule.staircase(alpha, gamma, period, stages)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def cmd_run(args, parser) -> int:
-    _merge_config(
-        args,
-        parser,
-        {
-            "data": "data",
-            "schedule": "schedule",
-            "alpha": "alpha",
-            "gamma": "gamma",
-            "T": "T",
-            "n": "n",
-            "epsilons": "epsilons_text",
-        },
-    )
     if args.data is None:
         parser.error("--data is required")
-    if args.schedule is None:
-        args.schedule = "constant"
-    if args.schedule not in ("constant", "inverse_sqrt", "staircase"):
-        parser.error(f"unknown schedule {args.schedule!r}")
-    batch = args.batch if args.batch is not None else 16
-    steps = args.steps if args.steps is not None else 10_000
-    seed = args.seed if args.seed is not None else 0
-    if batch < 1:
+    if args.batch < 1:
         parser.error("--batch must be positive")
-    if steps < 0:
+    if args.steps < 0:
         parser.error("--steps must be nonnegative")
-    if seed < 0:
+    if args.seed < 0:
         parser.error("--seed must be nonnegative")
-    eps_text = args.epsilons_text if args.epsilons_text is not None else "0.5,0.25"
-    epsilons = tuple(sorted(set(_parse_floats(eps_text)), reverse=True))
+    epsilons = tuple(sorted(set(args.epsilons), reverse=True))
     if any(e <= 0 for e in epsilons):
         parser.error("epsilons must be positive")
 
     data = dataio.read_matrix_set(args.data)
-    schedule = _schedule_from_run_flags(args, parser, data.n)
+    period = math.ceil(data.n / args.batch) if args.T is None else args.T
+    try:
+        schedule = StepSchedule(args.schedule, args.alpha, args.gamma, period, args.n)
+    except ValueError as exc:
+        parser.error(str(exc))
     reference = rsgd.reference_centroid(data, tol=1e-9)
     config = rsgd.RunConfig(
         data=data,
         x0=np.eye(data.dim),
         schedule=schedule,
-        batch_size=batch,
-        seed=seed,
-        max_steps=steps,
+        batch_size=args.batch,
+        seed=args.seed,
+        max_steps=args.steps,
         epsilons=epsilons,
         reference=reference,
     )
@@ -265,7 +264,7 @@ def cmd_run(args, parser) -> int:
         rows.append(["K", _fmt(e), "censored" if hit is None else hit])
     _write_csv(args.out, rows)
     print(
-        f"run: {schedule.label} b={batch} seed={seed} steps={record.steps} "
+        f"run: {schedule.label} b={args.batch} seed={args.seed} steps={record.steps} "
         f"final_f={_fmt(record.f[-1])} sigma2_x0={_fmt(record.sigma2_initial)} "
         f"grad_bound={_fmt(record.grad_norm_max)} max_ref_dist={_fmt(record.max_ref_distance)}"
     )
@@ -273,41 +272,11 @@ def cmd_run(args, parser) -> int:
 
 
 def cmd_sweep(args, parser) -> int:
-    _merge_config(
-        args,
-        parser,
-        {
-            "data": "data",
-            "schedule": "schedules",
-            "schedules": "schedules",
-            "batches": "batches_text",
-            "epsilons": "epsilons_text",
-            "seeds": "seeds_text",
-        },
-    )
     if args.data is None:
         parser.error("--data is required")
-    raw_schedules = args.schedules if args.schedules is not None else ["constant:0.0005"]
-    if isinstance(raw_schedules, str):
-        raw_schedules = [raw_schedules]
-    try:
-        schedules = tuple(parse_schedule_spec(s) for s in raw_schedules)
-    except ValueError as exc:
-        parser.error(str(exc))
-    batches_text = args.batches_text if args.batches_text is not None else "2^4..2^9"
-    try:
-        batches = tuple(parse_batches(batches_text))
-    except ValueError as exc:
-        parser.error(str(exc))
-    eps_text = args.epsilons_text if args.epsilons_text is not None else "0.5,0.25"
-    epsilons = tuple(_parse_floats(eps_text))
-    seeds_text = args.seeds_text if args.seeds_text is not None else "0,1"
-    seeds = tuple(_parse_ints(seeds_text))
-    steps = args.steps if args.steps is not None else 10_000
-    jobs = args.jobs if args.jobs is not None else 1
-    if steps < 1:
+    if args.steps < 1:
         parser.error("--steps must be positive")
-    if jobs < 1:
+    if args.jobs < 1:
         parser.error("--jobs must be positive")
 
     data = dataio.read_matrix_set(args.data)
@@ -315,12 +284,12 @@ def cmd_sweep(args, parser) -> int:
         config = experiment.SweepConfig(
             data=data,
             x0=np.eye(data.dim),
-            schedules=schedules,
-            epsilons=epsilons,
-            batch_sizes=batches,
-            seeds=seeds,
-            max_steps=steps,
-            n_jobs=jobs,
+            schedules=tuple(args.schedules),
+            epsilons=tuple(args.epsilons),
+            batch_sizes=tuple(args.batches),
+            seeds=tuple(args.seeds),
+            max_steps=args.steps,
+            n_jobs=args.jobs,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -358,21 +327,18 @@ def _read_sweep_csv(path: str):
 
 
 def cmd_fit(args, parser) -> int:
-    if args.sigma2 is None or args.G is None or args.epsilon is None:
-        parser.error("--sigma2, --G and --epsilon are required")
     if args.sigma2 < 0 or args.G < 0 or args.epsilon <= 0:
         parser.error("--sigma2/--G must be nonnegative and --epsilon positive")
 
     rows = _read_sweep_csv(args.sweep_csv)
-    labels = sorted({r["schedule"] for r in rows})
-    wanted = args.schedule
-    matches = [lab for lab in labels if lab == wanted or lab.split(":")[0] == wanted]
+    schedules = {label: StepSchedule.parse(label) for label in sorted({r["schedule"] for r in rows})}
+    matches = [label for label, s in schedules.items() if args.schedule in (label, s.kind)]
     if not matches:
-        parser.error(f"schedule {wanted!r} not present in CSV (found {labels})")
+        parser.error(f"schedule {args.schedule!r} not present in CSV (found {list(schedules)})")
     if len(matches) > 1:
-        parser.error(f"schedule {wanted!r} is ambiguous in CSV: {matches}")
+        parser.error(f"schedule {args.schedule!r} is ambiguous in CSV: {matches}")
     label = matches[0]
-    kind = label.split(":")[0]
+    schedule = schedules[label]
 
     selected = [
         r
@@ -393,37 +359,18 @@ def cmd_fit(args, parser) -> int:
         return 1
     points = [(b, float(np.mean(ks))) for b, ks in sorted(per_batch.items())]
 
-    # Model parameters: explicit flags win over values embedded in the label.
-    alpha, gamma, stages = args.alpha, args.gamma, args.n
-    if ":" in label:
-        parts = label.split(":", 1)[1].split(",")
-        if alpha is None:
-            alpha = float(parts[0])
-        if kind == "staircase":
-            if gamma is None:
-                gamma = float(parts[1])
-            if stages is None:
-                stages = int(parts[3])
-    if kind in ("constant", "staircase") and alpha is None:
-        parser.error("--alpha is required for constant/staircase fits")
-    if kind == "staircase" and (gamma is None or stages is None):
-        parser.error("--gamma and --n are required for staircase fits")
-
     inputs = FitInputs(
         sigma2=args.sigma2,
         grad_bound=args.G,
-        alpha=alpha if alpha is not None else 1.0,
+        alpha=schedule.alpha,
         eps=args.epsilon,
-        gamma=gamma,
-        max_stage=stages,
+        gamma=schedule.gamma,
+        max_stage=schedule.max_stage,
     )
-    fit = experiment.fit_model(kind, points, inputs)
-    if args.b_range is not None:
-        lo, hi = (float(x) for x in args.b_range.split(":"))
-    else:
-        lo, hi = float(points[0][0]), float(points[-1][0])
-    fit = experiment.critical_batch(fit, (lo, hi))
-    bound = experiment.batch_lower_bound(kind, fit.c1, inputs)
+    fit = experiment.fit_model(schedule.kind, points, inputs)
+    b_range = args.b_range or (float(points[0][0]), float(points[-1][0]))
+    fit = experiment.critical_batch(fit, b_range)
+    bound = experiment.batch_lower_bound(schedule.kind, fit.c1, inputs)
 
     print(f"schedule: {label}")
     print(f"epsilon: {_fmt(args.epsilon)}")
@@ -468,73 +415,77 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="synthesize an SPD matrix set")
-    p.add_argument("--n", type=int, default=None, help="number of matrices (default 256)")
-    p.add_argument("--d", type=int, default=None, help="matrix dimension (default 5)")
-    p.add_argument("--spread", type=float, default=None, help="tangent noise scale (default 0.5)")
+    p.add_argument("--n", type=int, default=256, help="number of matrices (default %(default)s)")
+    p.add_argument("--d", type=int, default=5, help="matrix dimension (default %(default)s)")
+    p.add_argument("--spread", type=float, default=0.5,
+                   help="tangent noise scale (default %(default)s)")
     p.add_argument("--center", default="identity",
-                   help="'identity', 'scale:X', or a matrix-set file with one matrix")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="JSON config file (flags win)")
+                   help="'identity', 'scale:X', or a matrix-set file with one matrix "
+                        "(default %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
+    p.add_argument("--config", help="JSON file of flag defaults (explicit flags win)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, parser=p)
 
     p = sub.add_parser("descriptors", help="covariance descriptors from a P5 image")
     p.add_argument("--pgm", required=True)
-    p.add_argument("--grid", type=int, default=4, help="cell side in pixels (default 4)")
+    p.add_argument("--grid", type=int, default=4,
+                   help="cell side in pixels, at least 2 (default %(default)s)")
     p.add_argument("--reg", type=float, default=None,
                    help="ridge added to each descriptor (default: scale-aware)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_descriptors)
+    p.set_defaults(func=cmd_descriptors, parser=p)
 
     p = sub.add_parser("run", help="single optimizer run -> per-step CSV")
-    p.add_argument("--data", default=None, help="matrix-set file")
-    p.add_argument("--schedule", default=None,
-                   choices=("constant", "inverse_sqrt", "staircase"))
-    p.add_argument("--alpha", type=float, default=None, help="base step (default 5e-4)")
-    p.add_argument("--gamma", type=float, default=None, help="staircase decay (default 0.5)")
+    p.add_argument("--data", help="matrix-set file (required, as a flag or in --config)")
+    p.add_argument("--schedule", default="constant",
+                   choices=("constant", "inverse_sqrt", "staircase"),
+                   help="step-size rule (default %(default)s)")
+    p.add_argument("--alpha", type=float, default=5e-4, help="base step (default %(default)s)")
+    p.add_argument("--gamma", type=float, default=0.5,
+                   help="staircase decay (default %(default)s)")
     p.add_argument("--T", type=int, default=None,
                    help="staircase stage length (default: one pass over the data)")
-    p.add_argument("--n", type=int, default=None, help="staircase stage cap (default 10)")
-    p.add_argument("--batch", type=int, default=None, help="batch size (default 16)")
-    p.add_argument("--steps", type=int, default=None, help="step budget (default 10000)")
-    p.add_argument("--epsilons", dest="epsilons_text", default=None,
-                   help="comma list of loss thresholds (default 0.5,0.25)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="JSON config file (flags win)")
+    p.add_argument("--n", type=int, default=10, help="staircase stage cap (default %(default)s)")
+    p.add_argument("--batch", type=int, default=16, help="batch size (default %(default)s)")
+    p.add_argument("--steps", type=int, default=10_000, help="step budget (default %(default)s)")
+    p.add_argument("--epsilons", type=float_list, default="0.5,0.25",
+                   help="comma list of loss thresholds (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
+    p.add_argument("--config", help="JSON file of flag defaults (explicit flags win)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_run, parser=p)
 
     p = sub.add_parser("sweep", help="batch-size grid -> CSV of cells")
-    p.add_argument("--data", default=None)
-    p.add_argument("--schedule", dest="schedules", action="append", default=None,
-                   help="repeatable: constant:A | inverse_sqrt | staircase:A,G,T,N")
-    p.add_argument("--epsilons", dest="epsilons_text", default=None,
-                   help="comma list (default 0.5,0.25)")
-    p.add_argument("--batches", dest="batches_text", default=None,
-                   help="comma list or 2^a..2^b (default 2^4..2^9)")
-    p.add_argument("--seeds", dest="seeds_text", default=None,
-                   help="comma list (default 0,1)")
-    p.add_argument("--steps", type=int, default=None, help="per-run budget (default 10000)")
-    p.add_argument("--jobs", type=int, default=None, help="concurrent runs (default 1)")
-    p.add_argument("--config", default=None, help="JSON config file (flags win)")
+    p.add_argument("--data", help="matrix-set file (required, as a flag or in --config)")
+    p.add_argument("--schedule", dest="schedules", action=_Repeatable, type=schedule_list,
+                   default="constant:0.0005",
+                   help="repeatable: constant:A | inverse_sqrt | staircase:A,G,T,N "
+                        "(default %(default)s)")
+    p.add_argument("--epsilons", type=float_list, default="0.5,0.25",
+                   help="comma list (default %(default)s)")
+    p.add_argument("--batches", type=parse_batches, default="2^4..2^9",
+                   help="comma list or 2^a..2^b (default %(default)s)")
+    p.add_argument("--seeds", type=int_list, default="0,1", help="comma list (default %(default)s)")
+    p.add_argument("--steps", type=int, default=10_000, help="per-run budget (default %(default)s)")
+    p.add_argument("--jobs", type=int, default=1, help="concurrent runs (default %(default)s)")
+    p.add_argument("--config", help="JSON file of flag defaults (explicit flags win)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, parser=p)
 
     p = sub.add_parser("fit", help="fit a K(b) model to a sweep CSV")
     p.add_argument("--sweep-csv", dest="sweep_csv", required=True)
     p.add_argument("--schedule", required=True,
-                   help="schedule label from the CSV (bare kind accepted if unambiguous)")
-    p.add_argument("--epsilon", type=float, default=None, required=True)
-    p.add_argument("--sigma2", type=float, default=None, required=True,
+                   help="schedule label from the CSV, or its kind if unambiguous; the fit "
+                        "takes alpha, gamma and the stage cap from the label")
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--sigma2", type=float, required=True,
                    help="single-sample gradient variance at the start point")
-    p.add_argument("--G", type=float, default=None, required=True,
-                   help="gradient-norm bound along the runs")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--b-range", dest="b_range", default=None, help="lo:hi (default: data range)")
-    p.add_argument("--out", default=None, help="optional CSV with the fit row")
-    p.set_defaults(func=cmd_fit)
+    p.add_argument("--G", type=float, required=True, help="gradient-norm bound along the runs")
+    p.add_argument("--b-range", dest="b_range", type=batch_range,
+                   help="lo:hi with 0 < lo < hi (default: the CSV's batch range)")
+    p.add_argument("--out", help="optional CSV with the fit row")
+    p.set_defaults(func=cmd_fit, parser=p)
 
     return parser
 
@@ -543,7 +494,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        if getattr(args, "config", None):
+            _set_config_defaults(args.parser, args.config)
+            args = parser.parse_args(argv)  # again: explicit flags win over the file
+        return args.func(args, args.parser)
     except (
         FormatError,
         DataError,

@@ -179,7 +179,9 @@ def covariance_descriptors(
     if img.ndim != 2:
         raise ValueError("image must be 2-d")
     h, w = img.shape
-    if cell < 1 or w % cell or h % cell:
+    if cell < 2:
+        raise ValueError(f"cell size {cell} is below 2: a one-pixel cell has no sample covariance")
+    if w % cell or h % cell:
         raise ValueError(f"cell size {cell} does not divide image {w}x{h}")
     if regularization is None:
         regularization = default_regularization(img)

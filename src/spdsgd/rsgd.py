@@ -99,6 +99,24 @@ class StepSchedule:
             return "inverse_sqrt"
         return f"staircase:{self.alpha:g},{self.gamma:g},{self.period},{self.max_stage}"
 
+    @classmethod
+    def parse(cls, text: str) -> "StepSchedule":
+        """Inverse of :attr:`label`: ``constant:<alpha>``, ``inverse_sqrt``, or
+        ``staircase:<alpha>,<gamma>,<period>,<max_stage>``."""
+        kind, _, rest = text.partition(":")
+        if kind == "constant":
+            return cls.constant(float(rest))
+        if kind == "inverse_sqrt":
+            if rest:
+                raise ValueError("inverse_sqrt takes no parameters")
+            return cls.inverse_sqrt()
+        if kind == "staircase":
+            parts = rest.split(",")
+            if len(parts) != 4:
+                raise ValueError("staircase spec needs alpha,gamma,T,n")
+            return cls.staircase(float(parts[0]), float(parts[1]), int(parts[2]), int(parts[3]))
+        raise ValueError(f"unknown schedule kind {kind!r}")
+
 
 def step_size(schedule: StepSchedule, k: int) -> float:
     """Step size at step index ``k`` (total function, k >= 0)."""

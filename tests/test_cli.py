@@ -6,20 +6,40 @@ import pytest
 
 from spdsgd import cli, dataio
 from spdsgd.experiment import FitInputs, model_steps
-from spdsgd.rsgd import StepSchedule
-
-
-def test_schedule_labels_parse_back():
-    for schedule in (
-        StepSchedule.constant(0.0005),
-        StepSchedule.inverse_sqrt(),
-        StepSchedule.staircase(0.01, 0.5, 100, 10),
-    ):
-        assert cli.parse_schedule_spec(schedule.label) == schedule
 
 
 def invoke(argv):
     return cli.main(argv)
+
+
+@pytest.mark.parametrize("command", ["gen", "descriptors", "run", "sweep", "fit"])
+def test_help_exits_zero(command, capsys):
+    # Help strings are %-formatted only when printed, so a bad one shows only here.
+    with pytest.raises(SystemExit) as exc:
+        invoke([command, "--help"])
+    assert exc.value.code == 0
+    assert "usage: spdsgd " + command in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sweep", "--data", "x.msf", "--seeds", "a,b"], "--seeds"),
+        (["run", "--data", "x.msf", "--epsilons", "abc"], "--epsilons"),
+        (["fit", "--sweep-csv", "x.csv", "--schedule", "constant", "--epsilon", "0.5",
+          "--sigma2", "1", "--G", "1", "--b-range", "16"], "--b-range"),
+        (["fit", "--sweep-csv", "x.csv", "--schedule", "constant", "--epsilon", "0.5",
+          "--sigma2", "1", "--G", "1", "--b-range", "10:4"], "--b-range"),
+    ],
+    ids=["seeds", "epsilons", "b-range-single", "b-range-reversed"],
+)
+def test_bad_flag_text_is_usage_error(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        invoke([*argv, "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    # argparse's fallback "invalid <function name> value: ..." would hide the reason.
+    assert f"error: argument {flag}: " in err and " value: " not in err
 
 
 def make_data(tmp_path, n=12, d=3, spread=0.4, seed=3):
@@ -87,8 +107,8 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "text, named",
-        [("5", "conf.json"), ('["n"]', "conf.json"), ('{"n": "abc"}', "'n'")],
-        ids=["number", "list", "mistyped-value"],
+        [("5", "conf.json"), ('["n"]', "conf.json"), ('{"n": "abc"}', "'n'"), ("{bad", "conf.json")],
+        ids=["number", "list", "mistyped-value", "not-json"],
     )
     def test_bad_config_is_usage_error(self, tmp_path, capsys, text, named):
         conf = tmp_path / "conf.json"
@@ -102,11 +122,13 @@ class TestGen:
     def test_config_lists_parse_like_flags(self, tmp_path):
         data = make_data(tmp_path)
         conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"epsilons": [0.5, 0.25], "T": 3, "schedule": "staircase"}))
+        conf.write_text(json.dumps({"epsilons": [0.5, 0.25], "T": 3, "schedule": "staircase",
+                                    "batch": 4, "steps": 7, "seed": 3}))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        invoke(["run", "--data", str(data), "--config", str(conf), "--steps", "5", "--out", str(p1)])
+        invoke(["run", "--data", str(data), "--config", str(conf), "--out", str(p1)])
         invoke(["run", "--data", str(data), "--schedule", "staircase", "--T", "3",
-                "--epsilons", "0.5,0.25", "--steps", "5", "--out", str(p2)])
+                "--epsilons", "0.5,0.25", "--batch", "4", "--steps", "7", "--seed", "3",
+                "--out", str(p2)])
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -126,6 +148,14 @@ class TestDescriptors:
         with pytest.raises(SystemExit) as exc:
             invoke(["descriptors", "--pgm", str(pgm), "--grid", "4", "--out", str(tmp_path / "o.msf")])
         assert exc.value.code == 2
+
+    def test_one_pixel_grid_usage_error(self, tmp_path, capsys):
+        pgm = tmp_path / "t.pgm"
+        dataio.write_pgm(pgm, np.zeros((8, 8)))
+        with pytest.raises(SystemExit) as exc:
+            invoke(["descriptors", "--pgm", str(pgm), "--grid", "1", "--out", str(tmp_path / "o.msf")])
+        assert exc.value.code == 2
+        assert "error: cell size 1 is below 2" in capsys.readouterr().err
 
     def test_constant_image_noted(self, tmp_path, capsys):
         pgm = tmp_path / "t.pgm"

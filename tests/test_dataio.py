@@ -136,6 +136,8 @@ class TestDescriptors:
     def test_grid_must_divide(self):
         with pytest.raises(ValueError, match="does not divide"):
             covariance_descriptors(np.zeros((8, 10)), 4)
+        with pytest.raises(ValueError, match="below 2"):
+            covariance_descriptors(np.zeros((8, 8)), 1)
 
     def test_translation_consistency(self, rng):
         # A texture with the cell period is invariant under a one-cell

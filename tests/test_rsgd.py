@@ -72,6 +72,14 @@ class TestStepSchedule:
         assert a.label != b.label
         assert StepSchedule.inverse_sqrt().label == "inverse_sqrt"
 
+    def test_schedule_labels_parse_back(self):
+        for schedule in (
+            StepSchedule.constant(0.0005),
+            StepSchedule.inverse_sqrt(),
+            StepSchedule.staircase(0.01, 0.5, 100, 10),
+        ):
+            assert StepSchedule.parse(schedule.label) == schedule
+
 
 class TestStep:
     def test_zero_gradient_fixed_point(self, rng):
