@@ -71,8 +71,11 @@ def _flag_type(parse):
 
 @_flag_type
 def float_list(text: str) -> list[float]:
-    """Comma list of numbers: ``0.5,0.25``."""
-    return [float(t) for t in text.split(",") if t.strip()]
+    """Nonempty comma list of finite positive numbers: ``0.5,0.25``."""
+    values = [float(t) for t in text.split(",") if t.strip()]
+    if not values or not all(0 < v < math.inf for v in values):
+        raise ValueError(f"expected a nonempty list of finite positive numbers, got {text!r}")
+    return values
 
 
 @_flag_type
@@ -112,6 +115,18 @@ def batch_range(text: str) -> tuple[float, float]:
     if not 0 < lo < hi:
         raise ValueError(f"expected lo:hi with 0 < lo < hi, got {text!r}")
     return lo, hi
+
+
+@_flag_type
+def center_spec(text: str) -> str | float:
+    """``identity``, a matrix-set file, or ``scale:X`` with finite ``X > 0``,
+    given as X; the file is read, and checked against ``--d``, by ``gen``."""
+    if not text.startswith("scale:"):
+        return text
+    scale = float(text[len("scale:"):])
+    if not 0 < scale < math.inf:
+        raise ValueError(f"expected scale:X with finite X > 0, got {text!r}")
+    return scale
 
 
 class _Repeatable(argparse.Action):
@@ -160,15 +175,12 @@ def _set_config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
     parser.set_defaults(**defaults)
 
 
-def _parse_center(spec: str, dim: int):
-    if spec == "identity":
+def _center_matrix(center: str | float, dim: int):
+    if center == "identity":
         return np.eye(dim)
-    if spec.startswith("scale:"):
-        s = float(spec[len("scale:"):])
-        if s <= 0:
-            raise ValueError(f"center scale must be positive, got {s}")
-        return s * np.eye(dim)
-    data = dataio.read_matrix_set(spec)
+    if isinstance(center, float):
+        return center * np.eye(dim)
+    data = dataio.read_matrix_set(center)
     if data.n != 1:
         raise DataError(f"center file must hold exactly one matrix, found {data.n}")
     if data.dim != dim:
@@ -189,7 +201,7 @@ def cmd_gen(args, parser) -> int:
     if args.seed < 0:
         parser.error("--seed must be nonnegative")
 
-    center = _parse_center(args.center, args.d)
+    center = _center_matrix(args.center, args.d)
     rng = Generator(Philox(key=np.uint64(args.seed)))
     data = dataio.generate_synthetic(rng, args.n, args.d, center, args.spread)
     dataio.write_matrix_set(args.out, data)
@@ -230,8 +242,6 @@ def cmd_run(args, parser) -> int:
     if args.seed < 0:
         parser.error("--seed must be nonnegative")
     epsilons = tuple(sorted(set(args.epsilons), reverse=True))
-    if any(e <= 0 for e in epsilons):
-        parser.error("epsilons must be positive")
 
     data = dataio.read_matrix_set(args.data)
     period = math.ceil(data.n / args.batch) if args.T is None else args.T
@@ -327,8 +337,8 @@ def _read_sweep_csv(path: str):
 
 
 def cmd_fit(args, parser) -> int:
-    if args.sigma2 < 0 or args.G < 0 or args.epsilon <= 0:
-        parser.error("--sigma2/--G must be nonnegative and --epsilon positive")
+    if not (0 <= args.sigma2 < math.inf and 0 <= args.G < math.inf and 0 < args.epsilon < math.inf):
+        parser.error("--sigma2/--G must be finite and nonnegative, --epsilon finite and positive")
 
     rows = _read_sweep_csv(args.sweep_csv)
     schedules = {label: StepSchedule.parse(label) for label in sorted({r["schedule"] for r in rows})}
@@ -419,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=5, help="matrix dimension (default %(default)s)")
     p.add_argument("--spread", type=float, default=0.5,
                    help="tangent noise scale (default %(default)s)")
-    p.add_argument("--center", default="identity",
+    p.add_argument("--center", type=center_spec, default="identity",
                    help="'identity', 'scale:X', or a matrix-set file with one matrix "
                         "(default %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
@@ -438,8 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="single optimizer run -> per-step CSV")
     p.add_argument("--data", help="matrix-set file (required, as a flag or in --config)")
-    p.add_argument("--schedule", default="constant",
-                   choices=("constant", "inverse_sqrt", "staircase"),
+    p.add_argument("--schedule", default="constant", choices=rsgd._KINDS,
                    help="step-size rule (default %(default)s)")
     p.add_argument("--alpha", type=float, default=5e-4, help="base step (default %(default)s)")
     p.add_argument("--gamma", type=float, default=0.5,

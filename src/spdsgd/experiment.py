@@ -68,8 +68,8 @@ class SweepConfig:
         labels = [s.label for s in self.schedules]
         if len(set(labels)) != len(labels):
             raise ValueError(f"schedules must be distinct, got labels {labels}")
-        if not self.epsilons or any(e <= 0 for e in self.epsilons):
-            raise ValueError("epsilons must be positive")
+        if not self.epsilons or not all(0 < e < np.inf for e in self.epsilons):
+            raise ValueError("epsilons must be finite and positive")
         if len(set(self.epsilons)) != len(self.epsilons):
             raise ValueError("epsilons must be distinct")
         b = self.batch_sizes
@@ -130,18 +130,10 @@ class SweepRecord:
         """
         out = []
         for b in self.config.batch_sizes:
-            ks = []
-            bad = 0
-            for seed in self.config.seeds:
-                cell = self.cells[(schedule_label, eps, b, seed)]
-                if cell.steps is None:
-                    bad += 1
-                else:
-                    ks.append(cell.steps)
-            if ks:
-                out.append((b, float(np.mean(ks)), float(np.median(ks)), bad))
-            else:
-                out.append((b, np.nan, np.nan, bad))
+            steps = [self.cells[(schedule_label, eps, b, seed)].steps for seed in self.config.seeds]
+            ks = [k for k in steps if k is not None]
+            mean, median = (float(np.mean(ks)), float(np.median(ks))) if ks else (np.nan, np.nan)
+            out.append((b, mean, median, len(steps) - len(ks)))
         return out
 
 
@@ -303,12 +295,12 @@ class FitInputs:
     max_stage: int | None = None
 
     def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
-        if self.grad_bound < 0:
-            raise ValueError("grad_bound must be nonnegative")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        for name in ("sigma2", "grad_bound"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        for name in ("alpha", "eps"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -323,43 +315,51 @@ class FitResult:
     critical_at_boundary: bool = False
 
 
-def _staircase_scale(inputs: FitInputs) -> float:
-    if inputs.gamma is None or inputs.max_stage is None:
-        raise ValueError("staircase model needs gamma and max_stage")
-    return inputs.alpha * inputs.gamma**inputs.max_stage
+def _scale(kind: str, inputs: FitInputs) -> float | None:
+    """Divisor of the constant-step curve for ``kind``; None for ``inverse_sqrt``."""
+    if kind == "constant":
+        return 1.0
+    if kind == "staircase":
+        if inputs.gamma is None or inputs.max_stage is None:
+            raise ValueError("staircase model needs gamma and max_stage")
+        return inputs.alpha * inputs.gamma**inputs.max_stage
+    if kind == "inverse_sqrt":
+        return None
+    raise ValueError(f"unknown model kind {kind!r}")
+
+
+def _denominator(b, c1: float, inputs: FitInputs):
+    # Constant-step curve K = C2 b / denominator; the domain is denominator > 0.
+    return inputs.eps * b - (inputs.sigma2 + inputs.grad_bound**2 * b) * inputs.alpha * c1
+
+
+def _margin(c1: float, inputs: FitInputs) -> float:
+    # eps - G^2 alpha C1: the constant-step curve's large-b limit of denominator / b.
+    return inputs.eps - inputs.grad_bound**2 * inputs.alpha * c1
 
 
 def model_steps(kind: str, b, c1: float, c2: float, inputs: FitInputs):
     """Predicted steps-to-threshold at batch size(s) ``b`` for a fitted model."""
     b = np.asarray(b, dtype=np.float64)
-    if kind in ("constant", "staircase"):
-        denom = inputs.eps * b - (inputs.sigma2 + inputs.grad_bound**2 * b) * inputs.alpha * c1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = c2 * b / denom
-        k = np.where(denom > 0, k, np.nan)
-        if kind == "staircase":
-            k = k / _staircase_scale(inputs)
-        return k if k.ndim else float(k)
-    if kind == "inverse_sqrt":
+    scale = _scale(kind, inputs)
+    if scale is None:
         num = 2.0 * c1 * inputs.sigma2 + (2.0 * c1 * inputs.grad_bound**2 + c2) * b
         k = (num / (inputs.eps * b)) ** 2
-        return k if k.ndim else float(k)
-    raise ValueError(f"unknown model kind {kind!r}")
+    else:
+        denom = _denominator(b, c1, inputs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.where(denom > 0, c2 * b / denom, np.nan) / scale
+    return k if k.ndim else float(k)
 
 
 def batch_lower_bound(kind: str, c1: float, inputs: FitInputs) -> float | None:
     """Smallest admissible batch size for the fitted model (None if unrestricted)."""
-    if kind in ("constant", "staircase"):
-        margin = inputs.eps - inputs.grad_bound**2 * inputs.alpha * c1
-        if margin <= 0:
-            return np.inf
-        return inputs.sigma2 * inputs.alpha * c1 / margin
-    return None
-
-
-def _c1_domain_cap(inputs: FitInputs, b_min: float) -> float:
-    # Largest c1 keeping the constant-model denominator positive at b_min.
-    return inputs.eps * b_min / (inputs.alpha * (inputs.sigma2 + inputs.grad_bound**2 * b_min))
+    if _scale(kind, inputs) is None:
+        return None
+    margin = _margin(c1, inputs)
+    if margin <= 0:
+        return np.inf
+    return inputs.sigma2 * inputs.alpha * c1 / margin
 
 
 def _init_constant(bs, ks, inputs: FitInputs, scale: float) -> tuple[float, float]:
@@ -367,16 +367,17 @@ def _init_constant(bs, ks, inputs: FitInputs, scale: float) -> tuple[float, floa
     y = 1.0 / (ks * scale)
     design = np.column_stack([np.ones_like(bs), -1.0 / bs])
     (p, q), *_ = np.linalg.lstsq(design, y, rcond=None)
-    cap = _c1_domain_cap(inputs, bs.min())
+    # Largest c1 keeping the denominator positive at the smallest batch.
+    b_min = bs.min()
+    cap = inputs.eps * b_min / (inputs.alpha * (inputs.sigma2 + inputs.grad_bound**2 * b_min))
     if p > 0 and q > 0 and inputs.sigma2 > 0:
         c1 = q * inputs.eps / (inputs.alpha * (p * inputs.sigma2 + q * inputs.grad_bound**2))
-        c2 = (inputs.eps - inputs.grad_bound**2 * inputs.alpha * c1) * (1.0 / p)
+        c2 = _margin(c1, inputs) * (1.0 / p)
         if 0 < c1 < cap and c2 > 0:
             return c1, c2
     # Fallback: park c1 mid-domain and solve c2 in closed form (exact log-LS).
     c1 = 0.5 * cap
-    denom = inputs.eps * bs - (inputs.sigma2 + inputs.grad_bound**2 * bs) * inputs.alpha * c1
-    c2 = float(np.exp(np.mean(np.log(ks * scale) - np.log(bs / denom))))
+    c2 = float(np.exp(np.mean(np.log(ks * scale) - np.log(bs / _denominator(bs, c1, inputs)))))
     return c1, c2
 
 
@@ -411,33 +412,21 @@ def fit_model(kind: str, points, inputs: FitInputs) -> FitResult:
     ks = np.asarray([p[1] for p in pts])
     if np.any(ks <= 0) or np.any(bs <= 0):
         raise ValueError("batch sizes and step counts must be positive")
-    if kind == "staircase":
-        scale = _staircase_scale(inputs)
-    elif kind == "constant":
-        scale = 1.0
-    elif kind == "inverse_sqrt":
-        scale = None
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-
+    scale = _scale(kind, inputs)
     log_ks = np.log(ks)
 
-    def residuals(c1: float, c2: float) -> float:
-        pred = model_steps(kind, bs, c1, c2, inputs)
-        pred = np.asarray(pred)
+    def obj(u) -> float:
+        # Sum of squared log-residuals at (C1, C2) = exp(u).
+        pred = model_steps(kind, bs, np.exp(u[0]), np.exp(u[1]), inputs)
         if np.any(~np.isfinite(pred)) or np.any(pred <= 0):
             return np.inf
         r = np.log(pred) - log_ks
         return float(r @ r)
 
-    if kind == "inverse_sqrt":
+    if scale is None:
         c1_0, c2_0 = _init_inverse_sqrt(bs, ks, inputs)
     else:
         c1_0, c2_0 = _init_constant(bs, ks, inputs, scale)
-
-    def obj(u):
-        return residuals(np.exp(u[0]), np.exp(u[1]))
-
     u0 = np.log([c1_0, c2_0])
     best_u, best_val = u0, obj(u0)
     res = optimize.minimize(
@@ -488,14 +477,12 @@ def closed_form_critical_batch(fit: FitResult) -> float | None:
     inp = fit.inputs
     if inp.sigma2 == 0:
         return None
-    if fit.kind in ("constant", "staircase"):
-        margin = inp.eps - inp.grad_bound**2 * inp.alpha * fit.c1
-        if margin <= 0:
-            return None
-        return 2.0 * fit.c1 * inp.sigma2 * inp.alpha / margin
-    if fit.kind == "inverse_sqrt":
+    if _scale(fit.kind, inp) is None:
         return 2.0 * fit.c1 * inp.sigma2 / (2.0 * fit.c1 * inp.grad_bound**2 + fit.c2)
-    raise ValueError(f"unknown model kind {fit.kind!r}")
+    margin = _margin(fit.c1, inp)
+    if margin <= 0:
+        return None
+    return 2.0 * fit.c1 * inp.sigma2 * inp.alpha / margin
 
 
 def critical_batch(fit: FitResult, b_range: tuple[float, float]) -> FitResult:

@@ -177,8 +177,8 @@ class RunConfig:
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
         eps = tuple(float(e) for e in self.epsilons)
-        if any(e <= 0.0 for e in eps):
-            raise ValueError("epsilons must be strictly positive")
+        if not all(0.0 < e < np.inf for e in eps):
+            raise ValueError("epsilons must be finite and strictly positive")
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilons must be strictly descending")
         object.__setattr__(self, "epsilons", eps)

@@ -134,21 +134,6 @@ def sym_apply_fn(
     return symmetrize(out)
 
 
-def sym_exp(s: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix."""
-    return sym_apply_fn(s, np.exp)
-
-
-def sym_log(s: np.ndarray) -> np.ndarray:
-    """Matrix logarithm; requires all eigenvalues strictly positive."""
-    return sym_apply_fn(s, np.log, positive=True)
-
-
-def sym_sqrt(s: np.ndarray) -> np.ndarray:
-    """Symmetric positive square root; requires all eigenvalues strictly positive."""
-    return sym_apply_fn(s, np.sqrt, positive=True)
-
-
 def congruence(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Congruence transform ``G @ S @ G.T`` of a symmetric matrix.
 

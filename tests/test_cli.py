@@ -26,12 +26,21 @@ def test_help_exits_zero(command, capsys):
     [
         (["sweep", "--data", "x.msf", "--seeds", "a,b"], "--seeds"),
         (["run", "--data", "x.msf", "--epsilons", "abc"], "--epsilons"),
+        (["run", "--data", "x.msf", "--epsilons", "0.1,nan,inf"], "--epsilons"),
+        (["sweep", "--data", "x.msf", "--epsilons", "nan"], "--epsilons"),
+        (["sweep", "--data", "x.msf", "--epsilons", ""], "--epsilons"),
+        (["run", "--data", "x.msf", "--epsilons", "0.5,-1"], "--epsilons"),
+        (["gen", "--center", "scale:abc"], "--center"),
+        (["gen", "--center", "scale:0"], "--center"),
+        (["gen", "--center", "scale:nan"], "--center"),
         (["fit", "--sweep-csv", "x.csv", "--schedule", "constant", "--epsilon", "0.5",
           "--sigma2", "1", "--G", "1", "--b-range", "16"], "--b-range"),
         (["fit", "--sweep-csv", "x.csv", "--schedule", "constant", "--epsilon", "0.5",
           "--sigma2", "1", "--G", "1", "--b-range", "10:4"], "--b-range"),
     ],
-    ids=["seeds", "epsilons", "b-range-single", "b-range-reversed"],
+    ids=["seeds", "epsilons", "epsilons-non-finite", "epsilons-nan", "epsilons-empty",
+         "epsilons-negative", "center-not-a-number", "center-zero", "center-nan",
+         "b-range-single", "b-range-reversed"],
 )
 def test_bad_flag_text_is_usage_error(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -367,6 +376,17 @@ class TestFit:
                  "--epsilon", "0.1", "--sigma2", "1", "--G", "1"]
             )
         assert exc.value.code == 2
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the case
+    @pytest.mark.parametrize("flag, value", [("--sigma2", "nan"), ("--sigma2", "inf"),
+                                             ("--G", "nan"), ("--epsilon", "inf")])
+    def test_non_finite_constant_is_usage_error(self, tmp_path, capsys, flag, value):
+        flags = {"--sweep-csv": str(model_csv(tmp_path)), "--schedule": "constant",
+                 "--epsilon": "0.1", "--sigma2": "1.5", "--G": "0.8", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            invoke(["fit", *(x for item in flags.items() for x in item)])
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_all_censored_is_runtime_error(self, tmp_path):
         path = tmp_path / "cens.csv"

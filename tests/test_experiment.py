@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from spdsgd.experiment import (
     sweep,
 )
 from spdsgd.objective import Dataset, loss
-from spdsgd.rsgd import StepSchedule
+from spdsgd.rsgd import _KINDS, StepSchedule
 
 from conftest import random_spd
 
@@ -96,6 +98,9 @@ class TestSweep:
             small_sweep_config(rng, seeds=(0,))
         with pytest.raises(ValueError, match="positive"):
             small_sweep_config(rng, epsilons=(-1.0,))
+        for eps in ((np.nan,), (0.5, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                small_sweep_config(rng, epsilons=eps)
 
     def test_config_rejects_repeated_cells(self, rng):
         with pytest.raises(ValueError, match="seeds must be distinct"):
@@ -152,14 +157,8 @@ def model_points(kind, c1, c2, inputs):
 
 
 class TestFitModel:
-    @pytest.mark.parametrize(
-        "kind,inputs",
-        [
-            ("constant", CONST_INPUTS),
-            ("inverse_sqrt", CONST_INPUTS),
-            ("staircase", STAIR_INPUTS),
-        ],
-    )
+    # Every schedule kind needs a model; STAIR_INPUTS carries every field any model reads.
+    @pytest.mark.parametrize("kind,inputs", [(kind, STAIR_INPUTS) for kind in _KINDS])
     def test_recovers_known_constants(self, kind, inputs):
         c1_true, c2_true = 2.3, 7.7
         fit = fit_model(kind, model_points(kind, c1_true, c2_true, inputs), inputs)
@@ -206,6 +205,23 @@ class TestFitModel:
     def test_rejects_nonpositive_steps(self):
         with pytest.raises(ValueError):
             fit_model("constant", [(16, 0.0), (32, 5.0)], CONST_INPUTS)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown model kind 'momentum'"):
+            model_steps("momentum", 16, 2.3, 7.7, CONST_INPUTS)
+        with pytest.raises(ValueError, match="unknown model kind 'momentum'"):
+            batch_lower_bound("momentum", 2.3, CONST_INPUTS)
+        with pytest.raises(ValueError, match="unknown model kind 'momentum'"):
+            fit_model("momentum", model_points("constant", 2.3, 7.7, CONST_INPUTS), CONST_INPUTS)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sigma2", np.nan), ("grad_bound", np.inf), ("eps", np.nan), ("alpha", 0.0),
+         ("alpha", np.inf)],
+    )
+    def test_inputs_reject_non_finite_constants(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(CONST_INPUTS, **{field: value})
 
 
 class TestCriticalBatch:

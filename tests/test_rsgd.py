@@ -198,6 +198,9 @@ class TestRun:
             RunConfig(data, np.diag([1.0, -1.0, 1.0]), StepSchedule.constant(0.1), 2, 0, 10)
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             RunConfig(data, np.eye(3), StepSchedule.constant(0.1), 2, -1, 10)
+        for eps in ((0.5, np.nan), (np.inf, 0.5)):
+            with pytest.raises(ValueError, match="finite"):
+                RunConfig(data, np.eye(3), StepSchedule.constant(0.1), 2, 0, 10, epsilons=eps)
 
 
 class TestReferenceCentroid:
