@@ -337,8 +337,10 @@ def _read_sweep_csv(path: str):
 
 
 def cmd_fit(args, parser) -> int:
-    if not (0 <= args.sigma2 < math.inf and 0 <= args.G < math.inf and 0 < args.epsilon < math.inf):
-        parser.error("--sigma2/--G must be finite and nonnegative, --epsilon finite and positive")
+    if not (0 <= args.sigma2 < math.inf and 0 <= args.G and args.G * args.G < math.inf
+            and 0 < args.epsilon < math.inf):
+        parser.error("--sigma2/--G must be finite and nonnegative (--G with a finite square), "
+                     "--epsilon finite and positive")
 
     rows = _read_sweep_csv(args.sweep_csv)
     schedules = {label: StepSchedule.parse(label) for label in sorted({r["schedule"] for r in rows})}

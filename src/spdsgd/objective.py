@@ -10,22 +10,24 @@ they are unbiased estimators of the full gradient with per-sample variance
 shrinking as ``1/b`` in the batch size ``b``.
 
 Everything funnels through one whitened eigendecomposition of the stack
-``M^{-1/2} A_i M^{-1/2}`` by :func:`spdsgd.symmat.spectral`, so evaluating
+``M^{-1/2} A_i M^{-1/2}`` (:func:`spdsgd.symmat.eigen_stack`), so evaluating
 the loss, the full gradient, its norm, and the per-sample gradient variance
 at the same point costs a single stacked ``eigh`` once ``M`` is decomposed
 into its roots ``(M^{1/2}, M^{-1/2})``, which a summary keeps for the
-optimizer's update.  A :class:`Dataset` is validated once, by one stacked
-check on construction.
+optimizer's update.  The loss needs only the log spectra; log matrices are
+composed only for the rows a caller reads.  A :class:`Dataset` is validated
+once, by one stacked check on construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import manifold
-from .symmat import spectral
+from .symmat import compose, eigen_stack
 from .symmat import _eigh  # noqa: F401  (bench/bench_trace.py wraps this binding by name)
 
 
@@ -63,29 +65,60 @@ class Dataset:
 class ObjectiveSummary:
     """All per-point quantities at one base point, from one stacked eigh.
 
-    ``whitened_logs[i] = log(M^{-1/2} A_i M^{-1/2})`` determines everything:
-    squared distances are its squared Frobenius norms, the whitened full
-    gradient is ``-2`` times its mean, and metric norms of tangents at ``M``
-    equal Frobenius norms of their whitened forms.  ``roots`` is the pair
-    ``(M^{1/2}, M^{-1/2})`` that the manifold internals take.
+    The whitened stack ``M^{-1/2} A_i M^{-1/2} = V_i diag(w_i) V_i^T`` is kept
+    as its eigenvectors and log spectra; the loss ``value`` is the mean of
+    ``||log w_i||^2``.  ``whitened_logs[i] = V_i diag(log w_i) V_i^T`` (the
+    whitened full gradient is ``-2`` times its mean), ``grad_norm``,
+    ``sigma2`` and the full ``gradient`` are computed once, on first read;
+    until then a batch gradient composes only its own rows.  Metric norms of
+    tangents at ``M`` equal Frobenius norms of their whitened forms.
+    ``roots`` is the pair ``(M^{1/2}, M^{-1/2})`` that the manifold
+    internals take.
     """
 
     value: float
-    grad_norm: float
-    sigma2: float
-    whitened_logs: np.ndarray = field(repr=False)
-    sqdists: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray = field(repr=False)
+    log_spectra: np.ndarray = field(repr=False)
     roots: manifold._Roots = field(repr=False)
 
+    @cached_property
+    def whitened_logs(self) -> np.ndarray:
+        return compose(self.eigenvectors, self.log_spectra)
 
-def _whitened_logs(m: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Whitened log stack for a base point: ``log(M^-1/2 A_i M^-1/2)``.
+    @cached_property
+    def _mean_log(self) -> np.ndarray:
+        return self.whitened_logs.mean(axis=0)
 
-    Returns ``(logs, sqdists, roots)``, with ``roots`` the root pair of ``m``.
-    """
+    @cached_property
+    def grad_norm(self) -> float:
+        return 2.0 * float(np.sqrt(np.einsum("ij,ij->", self._mean_log, self._mean_log)))
+
+    @cached_property
+    def sigma2(self) -> float:
+        centered = self.whitened_logs - self._mean_log
+        return float(4.0 * np.einsum("nij,nij->", centered, centered) / len(centered))
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        """The full Riemannian gradient at ``M``."""
+        return manifold._unwhiten(self.roots, -2.0 * self._mean_log)
+
+
+def _whitened_spectra(m: np.ndarray, points: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """``(roots of m, eigenvectors, log spectra)`` of ``M^-1/2 A_i M^-1/2``."""
     roots = manifold.sqrt_and_inv_sqrt(m)
-    (logs,), (lw,) = spectral(manifold._whiten(roots, points), np.log, positive=True)
-    return logs, np.einsum("nk,nk->n", lw, lw), roots
+    w, v = eigen_stack(manifold._whiten(roots, points), positive=True)
+    # numpy's vectorized log gives an element the same float anywhere in a
+    # contiguous array, but takes the scalar log for a lone matrix's
+    # spectrum left as eigh's reversed view; the copy keeps a row's floats
+    # independent of the stack it was decomposed in.
+    return roots, v, np.log(np.ascontiguousarray(w))
+
+
+def _batch_gradient(m: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """``(gradient of the terms in points alone, roots of m)``."""
+    roots, v, lw = _whitened_spectra(m, points)
+    return _gradient(roots, compose(v, lw)), roots
 
 
 def _gradient(roots: manifold._Roots, logs: np.ndarray) -> np.ndarray:
@@ -104,9 +137,7 @@ def _check_base(m: np.ndarray, data: Dataset) -> np.ndarray:
 
 def loss(m: np.ndarray, data: Dataset) -> float:
     """Mean squared geodesic distance from ``m`` to the dataset."""
-    m = _check_base(m, data)
-    _, sqdists, _ = _whitened_logs(m, data.points)
-    return float(np.mean(sqdists))
+    return objective_summary(m, data).value
 
 
 def point_gradient(m: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -116,9 +147,7 @@ def point_gradient(m: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def full_gradient(m: np.ndarray, data: Dataset) -> np.ndarray:
     """Riemannian gradient of the centroid loss; zero exactly at the centroid."""
-    m = _check_base(m, data)
-    logs, _, roots = _whitened_logs(m, data.points)
-    return _gradient(roots, logs)
+    return objective_summary(m, data).gradient
 
 
 def sample_batch(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
@@ -145,8 +174,7 @@ def batch_gradient(m: np.ndarray, data: Dataset, batch: np.ndarray) -> np.ndarra
         raise ValueError("batch must be a nonempty 1-d index array")
     if batch.min() < 0 or batch.max() >= data.n:
         raise ValueError(f"batch index out of range [0, {data.n})")
-    logs, _, roots = _whitened_logs(m, data.points[batch])
-    return _gradient(roots, logs)
+    return _batch_gradient(m, data.points[batch])[0]
 
 
 def gradient_variance(m: np.ndarray, data: Dataset) -> float:
@@ -173,36 +201,32 @@ def max_gradient_norm(trace) -> float:
 
 
 def objective_summary(m: np.ndarray, data: Dataset) -> ObjectiveSummary:
-    """Loss, gradient norm and single-sample variance at ``m`` in one pass.
+    """Loss at ``m`` from one stacked eigendecomposition, and the means to
+    read the gradient norm and single-sample variance off the same one.
 
-    The whitened log stack is retained so callers can form mini-batch
-    gradients by averaging a subset (see :func:`batch_gradient_from_summary`)
-    without a second eigendecomposition.
+    The eigenvectors and log spectra are retained so callers can form
+    mini-batch gradients by averaging a subset (see
+    :func:`batch_gradient_from_summary`) without a second eigendecomposition.
     """
-    m = _check_base(m, data)
-    logs, sqdists, roots = _whitened_logs(m, data.points)
-    mean_log = logs.mean(axis=0)
-    grad_norm = 2.0 * float(np.sqrt(np.einsum("ij,ij->", mean_log, mean_log)))
-    centered = logs - mean_log
-    sigma2 = float(4.0 * np.einsum("nij,nij->", centered, centered) / data.n)
-    return ObjectiveSummary(
-        value=float(np.mean(sqdists)),
-        grad_norm=grad_norm,
-        sigma2=sigma2,
-        whitened_logs=logs,
-        sqdists=sqdists,
-        roots=roots,
-    )
+    roots, v, lw = _whitened_spectra(_check_base(m, data), data.points)
+    value = float(np.mean(np.einsum("nk,nk->n", lw, lw)))
+    return ObjectiveSummary(value=value, eigenvectors=v, log_spectra=lw, roots=roots)
 
 
 def batch_gradient_from_summary(summary: ObjectiveSummary, batch: np.ndarray) -> np.ndarray:
     """Mini-batch gradient reusing a precomputed :class:`ObjectiveSummary`.
 
     Bit-identical to :func:`batch_gradient` at the same point: the stacked
-    eigendecomposition is computed per matrix, so selecting rows before or
-    after decomposing yields the same floats.
+    eigendecomposition and the composition are computed per matrix, so
+    selecting rows before or after decomposing or composing yields the same
+    floats.  Rows come from the composed stack once a full-stack quantity has
+    been read, and are composed alone until then.
     """
-    return _gradient(summary.roots, summary.whitened_logs[np.asarray(batch)])
+    batch = np.asarray(batch)
+    if "whitened_logs" in vars(summary):  # composed already
+        return _gradient(summary.roots, summary.whitened_logs[batch])
+    v, lw = summary.eigenvectors[batch], summary.log_spectra[batch]
+    return _gradient(summary.roots, compose(v, lw))
 
 
 @dataclass(frozen=True)

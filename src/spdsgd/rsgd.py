@@ -225,6 +225,62 @@ def rsgd_step(
     return manifold.exp_map(x, -alpha * objective.batch_gradient(x, data, batch))
 
 
+_BOUND_MARGIN = 1e-9  # relative slack on a threshold: absorbs rounding in f and step lengths
+
+
+def _descend(config: RunConfig, observe=None) -> tuple[dict, float, np.ndarray, int]:
+    """The RSGD loop; returns ``(steps_to_epsilon, final f, final point, steps)``.
+
+    With ``observe``, every iterate is evaluated and its summary passed to
+    ``observe``.  Without, only the last iterate and those where a threshold
+    could be crossed are: ``sqrt(f)`` is the scaled l2 norm of 1-Lipschitz
+    distances, so ``sqrt(f(x_{k+1})) >= sqrt(f(x_k)) - alpha_k ||g_B||_{x_k}``,
+    and an iterate whose bound reaches ``sqrt(e (1 + 1e-9))`` for the largest
+    remaining ``e`` takes its batch gradient from its ``b`` rows alone.  That
+    gradient is bit-identical to a full evaluation's.
+    """
+    data = config.data
+    eps_left = list(config.epsilons)
+    hits: dict[float, int | None] = {e: None for e in config.epsilons}
+    x, k = config.x0, 0
+    root_f = -np.inf  # certified lower bound on sqrt(f(x_k))
+    while True:
+        summary = None
+        certified = not eps_left or root_f >= np.sqrt(eps_left[0] * (1.0 + _BOUND_MARGIN))
+        if observe is not None or k >= config.max_steps or not certified:
+            try:
+                summary = objective.objective_summary(x, data)
+                if observe is not None:
+                    observe(summary)
+            except _STEP_FAILURES as exc:
+                raise RunError(f"objective evaluation failed at step {k}: {exc}", k, x) from exc
+            root_f = np.sqrt(summary.value)
+            for e in list(eps_left):
+                if summary.value < e:
+                    hits[e] = k
+                    eps_left.remove(e)
+
+        if (config.epsilons and not eps_left) or k >= config.max_steps:
+            return hits, summary.value, x, k
+
+        a_k = step_size(config.schedule, k)
+        batch = objective.sample_batch(step_rng(config.seed, k), data.n, config.batch_size)
+        try:
+            if summary is None:
+                g, roots = objective._batch_gradient(x, data.points[batch])
+            else:
+                g, roots = objective.batch_gradient_from_summary(summary, batch), summary.roots
+            step = -a_k * g
+            x_next = manifold._exp_map(roots, step)
+            if not np.all(np.isfinite(x_next)):
+                raise FloatingPointError("iterate has non-finite entries")
+        except _STEP_FAILURES as exc:
+            raise RunError(f"update failed at step {k}: {exc}", k, x) from exc
+        root_f -= manifold._frobenius(manifold._whiten(roots, step))
+        x = x_next
+        k += 1
+
+
 def run(config: RunConfig) -> RunRecord:
     """Execute RSGD and record the full trace.
 
@@ -234,74 +290,46 @@ def run(config: RunConfig) -> RunRecord:
     the gradient norm and, with a reference point, the stationarity gap and
     the distance to the reference are evaluated at every iterate.  A failed
     evaluation or update, or a non-finite iterate, raises :class:`RunError`
-    carrying the last finite iterate.
+    carrying the last finite iterate.  :func:`hitting_steps` runs the same
+    loop for the hits alone.
     """
     t_start = time.perf_counter()
-    data = config.data
-    n = data.n
-    eps_left = list(config.epsilons)
-    hits: dict[float, int | None] = {e: None for e in config.epsilons}
+    rows: list[tuple[float, float, float, float, float]] = []
 
-    f_trace: list[float] = []
-    gnorm_trace: list[float] = []
-    alpha_trace: list[float] = []
-    stat_trace: list[float] = []
-    dist_trace: list[float] = []
-    sigma2_trace: list[float] = []
+    def observe(summary: objective.ObjectiveSummary) -> None:
+        gap = d_ref = np.nan
+        if config.reference is not None:
+            gap, d_ref = _reference_metrics(summary.roots, summary.gradient, config.reference)
+        rows.append((summary.value, summary.grad_norm, gap, d_ref, summary.sigma2))
 
-    x = config.x0
-    k = 0
-    while True:
-        try:
-            summary = objective.objective_summary(x, data)
-            if config.reference is None:
-                gap = d_ref = np.nan
-            else:
-                grad = objective.batch_gradient_from_summary(summary, np.arange(n))
-                gap, d_ref = _reference_metrics(summary.roots, grad, config.reference)
-        except _STEP_FAILURES as exc:
-            raise RunError(f"objective evaluation failed at step {k}: {exc}", k, x) from exc
-        f_trace.append(summary.value)
-        gnorm_trace.append(summary.grad_norm)
-        stat_trace.append(gap)
-        dist_trace.append(d_ref)
-        sigma2_trace.append(summary.sigma2)
-
-        for e in list(eps_left):
-            if summary.value < e:
-                hits[e] = k
-                eps_left.remove(e)
-
-        if (config.epsilons and not eps_left) or k >= config.max_steps:
-            break
-
-        a_k = step_size(config.schedule, k)
-        batch = objective.sample_batch(step_rng(config.seed, k), n, config.batch_size)
-        g = objective.batch_gradient_from_summary(summary, batch)
-        try:
-            x_next = manifold._exp_map(summary.roots, -a_k * g)
-            if not np.all(np.isfinite(x_next)):
-                raise FloatingPointError("iterate has non-finite entries")
-        except _STEP_FAILURES as exc:
-            raise RunError(f"update failed at step {k}: {exc}", k, x) from exc
-        x = x_next
-        alpha_trace.append(a_k)
-        k += 1
-
+    hits, _, x, steps = _descend(config, observe)
+    f, grad_norm, gap, d_ref, sigma2 = (np.asarray(col) for col in zip(*rows))
     return RunRecord(
-        f=np.asarray(f_trace),
-        grad_norm=np.asarray(gnorm_trace),
-        alpha=np.asarray(alpha_trace),
-        stationarity=np.asarray(stat_trace),
-        ref_distance=np.asarray(dist_trace),
+        f=f,
+        grad_norm=grad_norm,
+        alpha=np.asarray([step_size(config.schedule, k) for k in range(steps)]),
+        stationarity=gap,
+        ref_distance=d_ref,
         steps_to_epsilon=hits,
         final_point=x,
-        sigma2_initial=sigma2_trace[0],
-        sigma2_max=max(sigma2_trace),
-        grad_norm_max=float(np.max(gnorm_trace)),
-        max_ref_distance=float(np.max(dist_trace)),
+        sigma2_initial=rows[0][4],
+        sigma2_max=max(row[4] for row in rows),
+        grad_norm_max=float(np.max(grad_norm)),
+        max_ref_distance=float(np.max(d_ref)),
         wall_time_s=time.perf_counter() - t_start,
     )
+
+
+def hitting_steps(config: RunConfig) -> tuple[dict[float, int | None], float, int, float]:
+    """:func:`run`'s hits, evaluating the loss only where one can occur.
+
+    Returns ``(steps_to_epsilon, final_f, steps, wall_s)``, equal to ``run``'s
+    bit for bit (see :func:`_descend`).  An iterate the bound skips decomposes
+    only its batch's rows, so a geometry failure in another row goes unseen.
+    """
+    t_start = time.perf_counter()
+    hits, final_f, _, steps = _descend(config)
+    return hits, final_f, steps, time.perf_counter() - t_start
 
 
 def reference_centroid(data: Dataset, tol: float) -> np.ndarray:
@@ -319,8 +347,7 @@ def reference_centroid(data: Dataset, tol: float) -> np.ndarray:
     for _ in range(_ORACLE_MAX_ITERS):
         if summary.grad_norm < tol:
             return x
-        grad = objective.batch_gradient_from_summary(summary, np.arange(data.n))
-        cand = manifold._exp_map(summary.roots, -alpha * grad)
+        cand = manifold._exp_map(summary.roots, -alpha * summary.gradient)
         cand_summary = objective.objective_summary(cand, data)
         # Near the optimum the loss decrease drops below float resolution
         # while the gradient norm still contracts; either counts as progress.

@@ -111,12 +111,23 @@ def spectral(
     ``V @ diag(f(w)) @ V.T`` and one spectrum ``f(w)`` per function.  The
     input is not validated and the matrices are not symmetrized.
     """
+    w, v = eigen_stack(s, positive=positive)
+    spectra = [f(w) for f in fns]
+    return [compose(v, fw) for fw in spectra], spectra
+
+
+def eigen_stack(s: np.ndarray, *, positive: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`spectral` without the composition: ``(w, V)``, checked as it checks them."""
     w, v = _eigh(s)
     if positive and not np.all(w > 0.0):
         bad = float(w[~(w > 0.0)].ravel()[0])
         raise DomainError(f"eigenvalue {bad:.6e} is not positive", bad)
-    spectra = [f(w) for f in fns]
-    return [np.einsum("...ik,...k,...jk->...ij", v, fw, v) for fw in spectra], spectra
+    return w, v
+
+
+def compose(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """``V @ diag(fw) @ V.T`` per matrix of a stack."""
+    return np.einsum("...ik,...k,...jk->...ij", v, fw, v)
 
 
 def sym_apply_fn(

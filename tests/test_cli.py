@@ -379,7 +379,8 @@ class TestFit:
 
     @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the case
     @pytest.mark.parametrize("flag, value", [("--sigma2", "nan"), ("--sigma2", "inf"),
-                                             ("--G", "nan"), ("--epsilon", "inf")])
+                                             ("--G", "nan"), ("--G", "1e200"),
+                                             ("--epsilon", "inf")])
     def test_non_finite_constant_is_usage_error(self, tmp_path, capsys, flag, value):
         flags = {"--sweep-csv": str(model_csv(tmp_path)), "--schedule": "constant",
                  "--epsilon": "0.1", "--sigma2": "1.5", "--G": "0.8", flag: value}

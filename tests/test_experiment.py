@@ -18,7 +18,7 @@ from spdsgd.experiment import (
     sweep,
 )
 from spdsgd.objective import Dataset, loss
-from spdsgd.rsgd import _KINDS, StepSchedule
+from spdsgd.rsgd import _KINDS, RunConfig, StepSchedule, run
 
 from conftest import random_spd
 
@@ -77,6 +77,32 @@ class TestSweep:
         record = sweep(config)
         ks = {cell.steps for cell in record.cells.values()}
         assert len(ks) == 1 and None not in ks
+
+    def test_cells_match_full_runs(self, rng):
+        # Cells evaluate the loss only where a threshold can be crossed; each
+        # K and final loss must still be the full run's, bit for bit.
+        config = small_sweep_config(
+            rng,
+            schedules=(
+                StepSchedule.constant(0.05),
+                StepSchedule.inverse_sqrt(),
+                StepSchedule.staircase(0.1, 0.5, 10, 3),
+            ),
+            batch_sizes=(1, 4, 32),
+            max_steps=300,
+        )
+        f0 = loss(config.x0, config.data)
+        config = dataclasses.replace(config, epsilons=(0.6 * f0, 0.3 * f0, 0.2 * f0))
+        record = sweep(config)
+        for schedule in config.schedules:
+            for b in config.batch_sizes:
+                for seed in config.seeds:
+                    full = run(RunConfig(config.data, config.x0, schedule, b, seed,
+                                         config.max_steps, epsilons=config.epsilons))
+                    for e in config.epsilons:
+                        cell = record.cells[(schedule.label, e, b, seed)]
+                        assert cell.steps == full.steps_to_epsilon[e]
+                        assert cell.final_f == full.f[-1]
 
     def test_censored_cells_flagged(self, rng):
         config = small_sweep_config(rng, epsilons=(1e-12,), max_steps=5)
@@ -216,8 +242,8 @@ class TestFitModel:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("sigma2", np.nan), ("grad_bound", np.inf), ("eps", np.nan), ("alpha", 0.0),
-         ("alpha", np.inf)],
+        [("sigma2", np.nan), ("grad_bound", np.inf), ("grad_bound", 1e200), ("eps", np.nan),
+         ("alpha", 0.0), ("alpha", np.inf)],
     )
     def test_inputs_reject_non_finite_constants(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):

@@ -306,6 +306,28 @@ class TestObjectiveSummary:
             batch_gradient_from_summary(summary, batch), batch_gradient(m, data, batch)
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_batch_gradient_paths_bitwise(self, rng, n):
+        # Rows decomposed alone, rows composed from the summary's spectra and
+        # rows of the composed stack give the same floats, for single rows
+        # and single-matrix datasets too (a lone spectrum must not take
+        # numpy's scalar log while a stack takes the vectorized one).
+        data = cloud(rng, n, 5)
+        for _ in range(300):
+            m = random_spd(rng, 5)
+            batch = rng.integers(0, n, size=int(rng.choice([1, 2, 4])))
+            summary = objective_summary(m, data)
+            rows = batch_gradient_from_summary(summary, batch)
+            summary.whitened_logs
+            np.testing.assert_array_equal(batch_gradient_from_summary(summary, batch), rows)
+            np.testing.assert_array_equal(batch_gradient(m, data, batch), rows)
+
+    def test_summary_full_gradient_bitwise(self, rng):
+        data = cloud(rng, 16, 3)
+        m = random_spd(rng, 3)
+        summary = objective_summary(m, data)
+        np.testing.assert_array_equal(summary.gradient, full_gradient(m, data))
+
     def test_full_gradient_from_summary_bitwise(self, rng):
         data = cloud(rng, 16, 3)
         m = random_spd(rng, 3)

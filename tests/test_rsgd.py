@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spdsgd import manifold, symmat
+from spdsgd import manifold, objective, symmat
 from spdsgd.objective import (
     Ball,
     Dataset,
@@ -15,6 +15,7 @@ from spdsgd.rsgd import (
     RunConfig,
     RunError,
     StepSchedule,
+    hitting_steps,
     reference_centroid,
     rsgd_step,
     run,
@@ -350,3 +351,91 @@ def test_sigma2_reporting(rng):
 def test_reference_centroid_bad_tolerance(rng):
     with pytest.raises(ValueError):
         reference_centroid(cloud(rng, 4, 3), 0.0)
+
+
+def far_start(d=3):
+    return manifold.exp_map(np.eye(d), np.diag([1.0, -0.8, 0.6][:d]))
+
+
+def count_evaluations(monkeypatch):
+    """Record the point of every full objective evaluation."""
+    points = []
+    summary = objective.objective_summary
+    monkeypatch.setattr(
+        objective, "objective_summary", lambda m, data: points.append(m) or summary(m, data)
+    )
+    return points
+
+
+class TestHittingSteps:
+    SCHEDULES = (
+        StepSchedule.constant(0.05),
+        StepSchedule.inverse_sqrt(),
+        StepSchedule.staircase(0.1, 0.5, 10, 3),
+    )
+
+    @staticmethod
+    def assert_matches_run_at_adversarial_thresholds(data, schedule, b):
+        # A threshold equal to a recorded loss, or one ulp either side of it,
+        # is where a bound without slack would skip a hit.
+        trace = run(RunConfig(data, far_start(), schedule, b, 3, 60)).f
+        for k in (1, 2, 7, 30, 60):
+            f_k = trace[k]
+            eps = (np.nextafter(f_k, np.inf), f_k, np.nextafter(f_k, -np.inf))
+            config = RunConfig(data, far_start(), schedule, b, 3, 60, epsilons=eps)
+            record = run(config)
+            hits, final_f, steps, _ = hitting_steps(config)
+            assert hits == record.steps_to_epsilon
+            assert (final_f, steps) == (record.f[-1], record.steps)
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("b", [1, 4, 32])
+    def test_matches_run_at_adversarial_thresholds(self, rng, schedule, b):
+        self.assert_matches_run_at_adversarial_thresholds(cloud(rng, 32, 3), schedule, b)
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.kind)
+    def test_matches_run_where_bound_is_tight(self, rng, schedule):
+        # With one data matrix every step heads straight for it, so sqrt(f)
+        # drops by exactly the step length until a step overshoots.
+        data = Dataset(random_spd(rng, 3)[None])
+        self.assert_matches_run_at_adversarial_thresholds(data, schedule, 2)
+
+    def test_evaluates_fewer_iterates_than_it_steps(self, rng, monkeypatch):
+        data = cloud(rng, 32, 3)
+        f0 = objective.loss(far_start(), data)
+        config = RunConfig(
+            data, far_start(), StepSchedule.constant(0.05), 4, 0, 400, epsilons=(0.35 * f0,)
+        )
+        evaluated = count_evaluations(monkeypatch)
+        hits, _, steps, _ = hitting_steps(config)
+        assert hits[0.35 * f0] == steps
+        assert len(evaluated) < steps
+
+    def test_censored_run_evaluates_last_iterate(self, rng, monkeypatch):
+        data = cloud(rng, 32, 3)
+        config = RunConfig(
+            data, far_start(), StepSchedule.constant(0.05), 4, 0, 40, epsilons=(1e-12,)
+        )
+        record = run(config)
+        evaluated = count_evaluations(monkeypatch)
+        hits, final_f, steps, _ = hitting_steps(config)
+        assert hits == {1e-12: None} and steps == 40
+        assert len(evaluated) < steps
+        np.testing.assert_array_equal(evaluated[-1], record.final_point)
+        assert final_f == record.f[-1]
+
+    def test_run_evaluates_every_iterate(self, rng, monkeypatch):
+        data = cloud(rng, 32, 3)
+        evaluated = count_evaluations(monkeypatch)
+        record = run(
+            RunConfig(data, far_start(), StepSchedule.constant(0.05), 4, 0, 25, epsilons=(1e-12,))
+        )
+        assert len(evaluated) == record.steps + 1
+
+    def test_failure_carries_state(self, rng):
+        data = cloud(rng, 4, 3)
+        with pytest.raises(RunError) as err:
+            hitting_steps(
+                RunConfig(data, np.exp(40.0) * np.eye(3), StepSchedule.constant(1.0), 2, 0, 50)
+            )
+        assert np.all(np.isfinite(err.value.last_point))
