@@ -107,13 +107,13 @@ def schedule_list(text: str) -> list[StepSchedule]:
 
 @_flag_type
 def batch_range(text: str) -> tuple[float, float]:
-    """``lo:hi`` with ``0 < lo < hi``."""
+    """``lo:hi`` with ``0 < lo < hi``, both finite."""
     try:
         lo, hi = (float(t) for t in text.split(":"))
     except ValueError:
         lo = hi = math.nan
-    if not 0 < lo < hi:
-        raise ValueError(f"expected lo:hi with 0 < lo < hi, got {text!r}")
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"expected lo:hi with 0 < lo < hi < inf, got {text!r}")
     return lo, hi
 
 
@@ -370,6 +370,13 @@ def cmd_fit(args, parser) -> int:
         print("error: every selected row is censored or errored", file=sys.stderr)
         return 1
     points = [(b, float(np.mean(ks))) for b, ks in sorted(per_batch.items())]
+    b_range = args.b_range or (float(points[0][0]), float(points[-1][0]))
+    # The models' largest term is 2 G^2 b (constant-step: G^2 b, inverse_sqrt:
+    # 2 C1 G^2 b); past overflow the search only meets inf and cannot converge.
+    b_max = max(points[-1][0], b_range[1])
+    if not 2.0 * args.G * args.G * b_max < math.inf:
+        parser.error(f"--G {args.G:g} is too large: 2*G^2*b overflows at batch {b_max:g} "
+                     f"(G must be below {math.sqrt(sys.float_info.max / (2.0 * b_max)):.3g})")
 
     inputs = FitInputs(
         sigma2=args.sigma2,
@@ -380,7 +387,6 @@ def cmd_fit(args, parser) -> int:
         max_stage=schedule.max_stage,
     )
     fit = experiment.fit_model(schedule.kind, points, inputs)
-    b_range = args.b_range or (float(points[0][0]), float(points[-1][0]))
     fit = experiment.critical_batch(fit, b_range)
     bound = experiment.batch_lower_bound(schedule.kind, fit.c1, inputs)
 

@@ -15,6 +15,8 @@ Lines starting with ``#`` are ignored.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from . import manifold
@@ -226,12 +228,19 @@ def read_matrix_set(path) -> Dataset:
 
     Symmetry is checked here to 1e-12 of each matrix's scale, stricter than
     :class:`Dataset`; positive definiteness is the dataset's one stacked
-    check.  Raises :class:`FormatError` for structural problems (bad header,
-    wrong counts) and :class:`DataError`, with the matrix index, for entries
-    that are not finite, symmetric and positive definite.
+    check.  Raises :class:`FormatError` for structural problems (a non-ASCII
+    byte, bad header, wrong counts) and :class:`DataError`, with the matrix
+    index, for entries that are not finite, symmetric and positive definite.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        rows = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            rows = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoded chunk; the file offset needs the bytes.
+        with open(path, "rb") as fh:
+            found = re.search(rb"[\x80-\xff]", fh.read())
+        raise FormatError(f"non-ASCII byte {exc.object[exc.start]:#04x}",
+                          found.start() if found else None) from exc
     if not rows:
         raise FormatError("empty matrix-set file")
     head = rows[0].split()

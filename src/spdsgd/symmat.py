@@ -10,10 +10,20 @@ eigenvalues.
 :func:`spectral` is the package's one spectral kernel: every matrix function
 in this module, :mod:`spdsgd.manifold` and :mod:`spdsgd.objective` goes
 through it, and its :func:`_eigh` is the only call to ``np.linalg.eigh``.
+
+``_eigh`` splits a stack of at least 4096 matrices into contiguous row
+chunks of at least 2048, one per usable CPU, and decomposes them at once:
+the calling thread takes the first chunk and a module-level thread pool,
+started on first use, the others.  numpy's ``eigh`` releases the GIL and
+decomposes each matrix on its own, so every float, every positivity report
+and every error is the serial call's.  Smaller stacks never start a thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -74,10 +84,66 @@ def check_symmetric(a: np.ndarray, *, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigh of the symmetrized input, without sign normalization."""
+# Fewest matrices a chunk of a split stack may hold: a stack under
+# 2 * _CHUNK_ROWS stays on the calling thread.  Splitting N = 256 stacks and
+# batches slowed the sweep workloads, and below 4096 matrices a split paid
+# only while the other cores were idle.
+_CHUNK_ROWS = 2048
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
     try:
-        w, v = np.linalg.eigh(symmetrize(s))
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The module's worker pool, created on first use; its tasks never submit to it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1),
+                                       thread_name_prefix="spdsgd-eigh")
+        return _pool
+
+
+def _by_rows(fn: Callable[[np.ndarray], tuple], s: np.ndarray) -> tuple:
+    """``fn(s)``, split over contiguous row chunks of a large ``(n, d, d)`` stack.
+
+    A stack of at least ``2 * _CHUNK_ROWS`` matrices is cut into one chunk
+    per usable CPU, none under ``_CHUNK_ROWS`` rows; the calling thread takes
+    chunk 0 and the pool the rest.  ``fn`` must treat each matrix on its own
+    and return a tuple of row-aligned arrays, which are concatenated in row
+    order, so the result equals ``fn(s)`` float for float.  An exception
+    (the first in row order) is raised only after every chunk has finished.
+    """
+    most = len(s) // _CHUNK_ROWS if s.ndim == 3 else 0
+    chunks = min(most, _usable_cpus()) if most >= 2 else 1
+    if chunks < 2:
+        return fn(s)
+    bounds = [len(s) * i // chunks for i in range(chunks + 1)]
+    pool = _executor()
+    futures = [pool.submit(fn, s[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        first = fn(s[: bounds[1]])
+    finally:
+        wait(futures)
+    parts = [first] + [f.result() for f in futures]
+    return tuple(np.concatenate(rows) for rows in zip(*parts))
+
+
+def _eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigh of the symmetrized input, without sign normalization.
+
+    Large stacks are split over the worker pool (:func:`_by_rows`); the
+    output is the serial call's, bit for bit.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    try:
+        w, v = _by_rows(lambda a: np.linalg.eigh(symmetrize(a)), s)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigensolver did not converge: {exc}") from exc
     return w[..., ::-1], v[..., ::-1]

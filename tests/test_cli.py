@@ -312,12 +312,14 @@ class TestSweep:
 FIT_HEADER = "schedule,epsilon,batch,seed,K,censored,sfo,final_f,wall_ms"
 
 
-def model_csv(tmp_path, *, sigma2=1.5, g=0.8, alpha=1e-3, eps=0.1, c1=2.3, c2=7.7):
+def model_csv(tmp_path, *, sigma2=1.5, g=0.8, alpha=1e-3, eps=0.1, c1=2.3, c2=7.7,
+              kind="constant"):
     inputs = FitInputs(sigma2=sigma2, grad_bound=g, alpha=alpha, eps=eps)
+    label = f"constant:{alpha:g}" if kind == "constant" else kind
     rows = [FIT_HEADER]
     for b in [2**p for p in range(4, 10)]:
-        k = model_steps("constant", b, c1, c2, inputs)
-        rows.append(f"constant:{alpha:g},{eps:.17g},{b},0,{k:.17g},false,{k * b:.17g},0.1,1")
+        k = model_steps(kind, b, c1, c2, inputs)
+        rows.append(f"{label},{eps:.17g},{b},0,{k:.17g},false,{k * b:.17g},0.1,1")
     path = tmp_path / "model.csv"
     path.write_text("\n".join(rows) + "\n")
     return path
@@ -388,6 +390,32 @@ class TestFit:
             invoke(["fit", *(x for item in flags.items() for x in item)])
         assert exc.value.code == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["constant", "inverse_sqrt"])
+    @pytest.mark.parametrize("g, b_range", [("1e154", None), ("1e152", "16:1e6")])
+    def test_constant_overflowing_the_models_is_usage_error(self, tmp_path, capsys,
+                                                            kind, g, b_range):
+        # 2 G^2 b overflows at the largest batch the fit evaluates: the CSV's
+        # 512, or the top of --b-range.
+        args = ["fit", "--sweep-csv", str(model_csv(tmp_path, kind=kind)), "--schedule", kind,
+                "--epsilon", "0.1", "--sigma2", "1.5", "--G", g]
+        with pytest.raises(SystemExit) as exc:
+            invoke(args + (["--b-range", b_range] if b_range else []))
+        assert exc.value.code == 2
+        assert f"--G {float(g):g} is too large" in capsys.readouterr().err
+
+    def test_largest_accepted_constant_fits(self, tmp_path, capsys):
+        path = model_csv(tmp_path)
+        code = invoke(["fit", "--sweep-csv", str(path), "--schedule", "constant",
+                       "--epsilon", "0.1", "--sigma2", "1.5", "--G", "4e152"])
+        assert code == 0
+        assert "C1: " in capsys.readouterr().out
+
+    def test_infinite_b_range_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            invoke(["fit", "--sweep-csv", str(model_csv(tmp_path)), "--schedule", "constant",
+                    "--epsilon", "0.1", "--sigma2", "1.5", "--G", "0.8", "--b-range", "1:inf"])
+        assert exc.value.code == 2
 
     def test_all_censored_is_runtime_error(self, tmp_path):
         path = tmp_path / "cens.csv"

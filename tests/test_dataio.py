@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdsgd import manifold
 from spdsgd.dataio import (
@@ -239,3 +241,82 @@ class TestMatrixSetFile:
         path.write_text("2 1\n1 0 0\n0 1\n")
         with pytest.raises(FormatError, match="entries"):
             read_matrix_set(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_line_endings(self, tmp_path, newline):
+        path = tmp_path / "nl.msf"
+        path.write_bytes(newline.join(["2 1", "2 0", "0 3", ""]).encode())
+        np.testing.assert_array_equal(read_matrix_set(path).points[0], np.diag([2.0, 3.0]))
+
+    @pytest.mark.parametrize("comments", [0, 5000])  # past the text reader's first chunk
+    def test_non_ascii_byte_is_format_error(self, tmp_path, comments):
+        path = tmp_path / "u.msf"
+        path.write_bytes(b"# c\n" * comments + b"2 1\n1 0\n0 \xff1\n")
+        with pytest.raises(FormatError, match="non-ASCII byte 0xff") as err:
+            read_matrix_set(path)
+        assert err.value.offset == 4 * comments + 10
+
+
+# Fuzzing: whatever the bytes, a reader raises FormatError or DataError.
+_FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+def _read_rejects_cleanly(reader, path, blob: bytes) -> None:
+    path.write_bytes(blob)
+    try:
+        reader(path)
+    except (FormatError, DataError):
+        pass
+
+
+_entry = st.one_of(
+    st.floats(width=64).map(lambda x: format(x, ".17g")),
+    st.sampled_from(["0", "1", "-1", "1e308", "-1e308", "1e-320", "nan", "x", "1_0", "0x1"]),
+)
+
+
+@st.composite
+def _matrix_set_text(draw) -> bytes:
+    """A near-valid matrix-set file: a header, then rows whose width and
+    entries may be wrong, with a few bytes possibly overwritten."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lines = [draw(st.sampled_from([f"{d} {n}", f"{d} {n + 1}", f"{d}", "0 1", "# c"]))]
+    for _ in range(draw(st.integers(0, n * d + 1))):
+        width = draw(st.sampled_from([d, d, d, d - 1, d + 1]))
+        lines.append(" ".join(draw(_entry) for _ in range(width)))
+    blob = bytearray("\n".join(lines).encode() + b"\n")
+    for pos, byte in draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                             st.integers(0, 255)), max_size=2)):
+        blob[pos] = byte
+    return bytes(blob)
+
+
+class TestReaderFuzz:
+    @_FUZZ
+    @given(blob=st.binary(max_size=64))
+    def test_matrix_set_random_bytes(self, fuzz_file, blob):
+        _read_rejects_cleanly(read_matrix_set, fuzz_file, blob)
+
+    @_FUZZ
+    @given(blob=_matrix_set_text())
+    def test_matrix_set_near_valid(self, fuzz_file, blob):
+        _read_rejects_cleanly(read_matrix_set, fuzz_file, blob)
+
+    @_FUZZ
+    @given(blob=st.binary(max_size=64))
+    def test_pgm_random_bytes(self, fuzz_file, blob):
+        _read_rejects_cleanly(read_pgm, fuzz_file, blob)
+
+    @_FUZZ
+    @given(
+        header=st.lists(st.sampled_from([b"P5", b" ", b"\n", b"#c\n", b"#", b"2", b"3",
+                                         b"255", b"0", b"-1", b"x", b"\xff"]), max_size=12),
+        payload=st.binary(max_size=12),
+    )
+    def test_pgm_near_valid(self, fuzz_file, header, payload):
+        _read_rejects_cleanly(read_pgm, fuzz_file, b"P5" + b"".join(header) + payload)
