@@ -51,7 +51,7 @@ from .experiment import (
     model_steps,
     sweep,
 )
-from .symmat import EigenDecomp, congruence, sym_apply_fn, sym_eigen, symmetrize
+from .symmat import EigenDecomp, congruence, sym_eigen, symmetrize
 
 __version__ = "0.1.0"
 
@@ -93,7 +93,6 @@ __all__ = [
     "stationarity_gap",
     "step_size",
     "sweep",
-    "sym_apply_fn",
     "sym_eigen",
     "symmetrize",
     "validate_spd",

@@ -93,8 +93,8 @@ def parse_batches(text: str) -> list[int]:
         if not (lo_s.startswith("2^") and hi_s.startswith("2^")):
             raise ValueError(f"range must look like 2^a..2^b, got {text!r}")
         lo, hi = int(lo_s[2:]), int(hi_s[2:])
-        if lo > hi:
-            raise ValueError(f"empty batch range {text!r}")
+        if not 0 <= lo <= hi <= 62:  # past 2^62 a range only builds huge integers
+            raise ValueError(f"batch range needs 0 <= a <= b <= 62, got {text!r}")
         return [2**p for p in range(lo, hi + 1)]
     return int_list(text)
 
@@ -327,13 +327,45 @@ def cmd_sweep(args, parser) -> int:
     return 0 if successes else 1
 
 
-def _read_sweep_csv(path: str):
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    if reader.fieldnames != _SWEEP_HEADER:
-        raise FormatError(f"unexpected sweep CSV header {reader.fieldnames}")
-    return rows
+def _read_sweep_csv(path: str) -> tuple[dict[str, StepSchedule], list[tuple]]:
+    """``(schedules by label, rows)`` of a sweep CSV, one ``(label, epsilon,
+    batch, K)`` row per cell; ``K`` is None for a censored or errored cell.
+
+    Anything but the header :func:`cmd_sweep` writes, rows of its width, a
+    schedule label, a finite positive epsilon, a positive batch and a finite
+    nonnegative or empty ``K`` is a :class:`FormatError` naming the line.
+    """
+    schedules: dict[str, StepSchedule] = {}
+    rows = []
+    try:
+        with open(path, "r", encoding="ascii", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != _SWEEP_HEADER:
+                raise FormatError(f"unexpected sweep CSV header {header}")
+            for row in reader:
+                if not row:
+                    continue
+                where = f"sweep CSV line {reader.line_num}"
+                if len(row) != len(_SWEEP_HEADER):
+                    raise FormatError(f"{where}: expected {len(_SWEEP_HEADER)} fields, "
+                                      f"got {len(row)}")
+                label, eps_text, batch_text, _, k_text, censored = row[:6]
+                try:
+                    if label not in schedules:
+                        schedules[label] = StepSchedule.parse(label)
+                    eps, batch = float(eps_text), int(batch_text)
+                    k = None if k_text in ("", "error") or censored == "true" else float(k_text)
+                except ValueError as exc:
+                    raise FormatError(f"{where}: {exc}") from None
+                if not (0.0 < eps < math.inf and batch > 0 and (k is None or 0.0 <= k < math.inf)):
+                    raise FormatError(f"{where}: epsilon, batch or K out of range")
+                rows.append((label, eps, batch, k))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"sweep CSV: non-ASCII byte {exc.object[exc.start]:#04x}") from None
+    except csv.Error as exc:
+        raise FormatError(f"sweep CSV: {exc}") from None
+    return schedules, rows
 
 
 def cmd_fit(args, parser) -> int:
@@ -342,30 +374,28 @@ def cmd_fit(args, parser) -> int:
         parser.error("--sigma2/--G must be finite and nonnegative (--G with a finite square), "
                      "--epsilon finite and positive")
 
-    rows = _read_sweep_csv(args.sweep_csv)
-    schedules = {label: StepSchedule.parse(label) for label in sorted({r["schedule"] for r in rows})}
-    matches = [label for label, s in schedules.items() if args.schedule in (label, s.kind)]
+    schedules, rows = _read_sweep_csv(args.sweep_csv)
+    matches = [label for label, s in sorted(schedules.items())
+               if args.schedule in (label, s.kind)]
     if not matches:
-        parser.error(f"schedule {args.schedule!r} not present in CSV (found {list(schedules)})")
+        parser.error(f"schedule {args.schedule!r} not present in CSV (found {sorted(schedules)})")
     if len(matches) > 1:
         parser.error(f"schedule {args.schedule!r} is ambiguous in CSV: {matches}")
     label = matches[0]
     schedule = schedules[label]
 
     selected = [
-        r
-        for r in rows
-        if r["schedule"] == label
-        and np.isclose(float(r["epsilon"]), args.epsilon, rtol=1e-12, atol=0)
+        (b, k)
+        for row_label, e, b, k in rows
+        if row_label == label and np.isclose(e, args.epsilon, rtol=1e-12, atol=0)
     ]
     if not selected:
         parser.error(f"no rows for schedule {label!r} at epsilon {args.epsilon}")
 
     per_batch: dict[int, list[float]] = {}
-    for r in selected:
-        if r["K"] in ("", "error") or r["censored"] == "true":
-            continue
-        per_batch.setdefault(int(r["batch"]), []).append(float(r["K"]))
+    for b, k in selected:
+        if k is not None:
+            per_batch.setdefault(b, []).append(k)
     if not per_batch:
         print("error: every selected row is censored or errored", file=sys.stderr)
         return 1

@@ -172,9 +172,10 @@ def sweep(config: SweepConfig) -> SweepRecord:
     off the same run, which is exactly what separate runs would measure
     since batch draws are keyed by (seed, step) and do not depend on the
     threshold list.  Each cell runs :func:`spdsgd.rsgd.hitting_steps`, which
-    evaluates the loss only at the last iterate and where a certified bound
-    on ``sqrt(f)`` leaves a threshold within reach; its ``K`` and ``final_f``
-    equal :func:`spdsgd.rsgd.run`'s bit for bit.  Cells are assembled in
+    evaluates the loss only at the last iterate and where a lower bound on
+    ``f``, taken in the tangent space of the last evaluated iterate,
+    leaves a threshold within reach; its ``K`` and ``final_f`` equal
+    :func:`spdsgd.rsgd.run`'s bit for bit.  Cells are assembled in
     grid order, so the record is identical no matter how many jobs execute
     concurrently.
     """

@@ -225,7 +225,36 @@ def rsgd_step(
     return manifold.exp_map(x, -alpha * objective.batch_gradient(x, data, batch))
 
 
-_BOUND_MARGIN = 1e-9  # relative slack on a threshold: absorbs rounding in f and step lengths
+_BOUND_MARGIN = 1e-9  # relative slack on a threshold and on the bound's terms
+
+
+def _loss_lower_bound(anchor: objective.ObjectiveSummary, y: np.ndarray) -> tuple[float, float]:
+    """``(lb, scale)``: ``lb <= f(y)`` from the evaluated ``anchor`` at ``x_a``.
+
+    ``Log_{x_a}`` does not expand distances on the SPD cone (a Hadamard
+    manifold), so with whitened logs ``L_y`` of ``y`` and ``L_i`` of the data
+    at ``x_a``, ``d(y, A_i) >= ||L_y - L_i||_F``; averaging the squares about
+    their mean ``m_a`` gives ``f(y) >= sigma2(x_a) / 4 + ||L_y - m_a||_F^2``.
+    It is tight when the iterates and the data commute, and when ``x_a``,
+    ``y`` and a lone data point lie on one geodesic.  ``scale = f(x_a) +
+    d(x_a, y)^2`` bounds the size of the terms whose difference ``lb`` takes,
+    and so its rounding.  One decomposition of the whitened ``y``.
+    """
+    l_y = manifold._whitened_log(anchor.roots, y)
+    gap = l_y - anchor._mean_log
+    lb = anchor.sigma2 / 4.0 + float(np.einsum("ij,ij->", gap, gap))
+    return lb, anchor.value + float(np.einsum("ij,ij->", l_y, l_y))
+
+
+def _certified(anchor: objective.ObjectiveSummary | None, y: np.ndarray, e: float) -> bool:
+    """Whether ``f(y) >= e`` holds by :func:`_loss_lower_bound`, rounding included."""
+    if anchor is None:
+        return False
+    try:
+        lb, scale = _loss_lower_bound(anchor, y)
+    except _STEP_FAILURES:  # left for the full evaluation to report
+        return False
+    return lb >= e * (1.0 + _BOUND_MARGIN) + _BOUND_MARGIN * scale
 
 
 def _descend(config: RunConfig, observe=None) -> tuple[dict, float, np.ndarray, int]:
@@ -233,9 +262,9 @@ def _descend(config: RunConfig, observe=None) -> tuple[dict, float, np.ndarray, 
 
     With ``observe``, every iterate is evaluated and its summary passed to
     ``observe``.  Without, only the last iterate and those where a threshold
-    could be crossed are: ``sqrt(f)`` is the scaled l2 norm of 1-Lipschitz
-    distances, so ``sqrt(f(x_{k+1})) >= sqrt(f(x_k)) - alpha_k ||g_B||_{x_k}``,
-    and an iterate whose bound reaches ``sqrt(e (1 + 1e-9))`` for the largest
+    could be crossed are: the last evaluated iterate is an anchor, and a
+    later iterate ``y`` whose :func:`_loss_lower_bound` from it reaches
+    ``e (1 + 1e-9)`` (plus ``1e-9`` of the bound's scale) for the largest
     remaining ``e`` takes its batch gradient from its ``b`` rows alone.  That
     gradient is bit-identical to a full evaluation's.
     """
@@ -243,18 +272,20 @@ def _descend(config: RunConfig, observe=None) -> tuple[dict, float, np.ndarray, 
     eps_left = list(config.epsilons)
     hits: dict[float, int | None] = {e: None for e in config.epsilons}
     x, k = config.x0, 0
-    root_f = -np.inf  # certified lower bound on sqrt(f(x_k))
+    anchor = None  # summary of the last evaluated iterate
     while True:
         summary = None
-        certified = not eps_left or root_f >= np.sqrt(eps_left[0] * (1.0 + _BOUND_MARGIN))
-        if observe is not None or k >= config.max_steps or not certified:
+        skip = observe is None and k < config.max_steps and (
+            not eps_left or _certified(anchor, x, eps_left[0])
+        )
+        if not skip:
             try:
                 summary = objective.objective_summary(x, data)
                 if observe is not None:
                     observe(summary)
             except _STEP_FAILURES as exc:
                 raise RunError(f"objective evaluation failed at step {k}: {exc}", k, x) from exc
-            root_f = np.sqrt(summary.value)
+            anchor = summary
             for e in list(eps_left):
                 if summary.value < e:
                     hits[e] = k
@@ -270,13 +301,11 @@ def _descend(config: RunConfig, observe=None) -> tuple[dict, float, np.ndarray, 
                 g, roots = objective._batch_gradient(x, data.points[batch])
             else:
                 g, roots = objective.batch_gradient_from_summary(summary, batch), summary.roots
-            step = -a_k * g
-            x_next = manifold._exp_map(roots, step)
+            x_next = manifold._exp_map(roots, -a_k * g)
             if not np.all(np.isfinite(x_next)):
                 raise FloatingPointError("iterate has non-finite entries")
         except _STEP_FAILURES as exc:
             raise RunError(f"update failed at step {k}: {exc}", k, x) from exc
-        root_f -= manifold._frobenius(manifold._whiten(roots, step))
         x = x_next
         k += 1
 
@@ -324,8 +353,10 @@ def hitting_steps(config: RunConfig) -> tuple[dict[float, int | None], float, in
     """:func:`run`'s hits, evaluating the loss only where one can occur.
 
     Returns ``(steps_to_epsilon, final_f, steps, wall_s)``, equal to ``run``'s
-    bit for bit (see :func:`_descend`).  An iterate the bound skips decomposes
-    only its batch's rows, so a geometry failure in another row goes unseen.
+    bit for bit (see :func:`_descend`).  Between evaluations, each iterate
+    costs one small ``eigh`` for :func:`_loss_lower_bound`, taken from the
+    last evaluated iterate.  An iterate the bound skips decomposes only its
+    batch's rows, so a geometry failure in another row goes unseen.
     """
     t_start = time.perf_counter()
     hits, final_f, _, steps = _descend(config)

@@ -56,9 +56,13 @@ class EigenDecomp(NamedTuple):
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return the symmetric part ``(a + a.T) / 2`` (transposing the last two axes)."""
+    """Return the symmetric part ``a / 2 + a.T / 2`` (transposing the last two axes).
+
+    Halving before adding cannot overflow; away from overflow and underflow
+    the floats are those of ``(a + a.T) / 2``.
+    """
     a = np.asarray(a, dtype=np.float64)
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * a + 0.5 * np.swapaxes(a, -1, -2)
 
 
 def check_symmetric(a: np.ndarray, *, name: str = "matrix") -> np.ndarray:
@@ -194,21 +198,6 @@ def eigen_stack(s: np.ndarray, *, positive: bool = False) -> tuple[np.ndarray, n
 def compose(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
     """``V @ diag(fw) @ V.T`` per matrix of a stack."""
     return np.einsum("...ik,...k,...jk->...ij", v, fw, v)
-
-
-def sym_apply_fn(
-    s: np.ndarray, fn: Callable[[np.ndarray], np.ndarray], *, positive: bool = False
-) -> np.ndarray:
-    """Apply a scalar function to a symmetric matrix through its spectrum.
-
-    Returns ``V @ diag(fn(w)) @ V.T``, symmetric, so the eigenvalues of the
-    output are exactly ``fn`` of the eigenvalues of the input.  With
-    ``positive``, every eigenvalue must be strictly positive; the first
-    offender is reported in a :class:`DomainError`.
-    """
-    s = check_symmetric(s, name="input")
-    (out,), _ = spectral(s, fn, positive=positive)
-    return symmetrize(out)
 
 
 def congruence(g: np.ndarray, s: np.ndarray) -> np.ndarray:

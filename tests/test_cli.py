@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdsgd import cli, dataio
 from spdsgd.experiment import FitInputs, model_steps
@@ -440,3 +442,100 @@ class TestFit:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("schedule,epsilon,C1,C2,residual")
         assert lines[1].startswith("constant:0.001,")
+
+
+# Fuzzing: whatever the bytes, the sweep-CSV reader raises only FormatError,
+# and a config file sets the defaults or is a usage error.
+_FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+_CSV_FIELD = st.sampled_from([
+    "constant:0.001", "staircase:0.1,0.5,10,2", '"staircase:0.1,0.5,10,2"', "inverse_sqrt",
+    "constant:", "constant:2", "staircase:1,2", "inverse_sqrt:1", "x", "0.1", "16", "0", "-1",
+    "1.5", "nan", "inf", "1e400", "", "error", "true", "false", '"', "a,b",
+])
+
+
+@st.composite
+def _sweep_csv_text(draw) -> bytes:
+    """A near-valid sweep CSV: a header, then rows whose width and fields may
+    be wrong, with a few bytes possibly overwritten."""
+    header = ",".join(cli._SWEEP_HEADER)
+    lines = [draw(st.sampled_from([header, header, header[:-1], "schedule,epsilon", ""]))]
+    for _ in range(draw(st.integers(0, 4))):
+        width = draw(st.sampled_from([9, 9, 9, 8, 10, 1]))
+        lines.append(",".join(draw(_CSV_FIELD) for _ in range(width)))
+    blob = bytearray("\n".join(lines).encode() + b"\n")
+    for pos, byte in draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                             st.integers(0, 255)), max_size=2)):
+        blob[pos] = byte
+    return bytes(blob)
+
+
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats()
+    | st.sampled_from(["0.5,0.25", "2^2..2^4", "2^0..2^99999999", "2^3..2^1", "constant:0.01", "inverse_sqrt",
+                       "staircase:0.1,0.5,10,2", "scale:0.8", "scale:-1", "identity", "1,x",
+                       "", "nan"])
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=6,
+)
+_CONFIG_KEY = st.sampled_from([
+    "data", "schedule", "schedules", "epsilons", "batches", "seeds", "steps", "jobs", "alpha",
+    "gamma", "T", "n", "d", "batch", "seed", "spread", "center", "config", "out", "other",
+])
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+def _fit_exits_cleanly(path, blob: bytes) -> None:
+    path.write_bytes(blob)
+    try:
+        cli._read_sweep_csv(str(path))
+    except dataio.FormatError:
+        pass
+    try:
+        code = invoke(["fit", "--sweep-csv", str(path), "--schedule", "constant",
+                       "--epsilon", "0.1", "--sigma2", "1", "--G", "1"])
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        assert code in (0, 1)
+
+
+def _config_sets_defaults_or_exits_2(path, command: str, blob: bytes) -> None:
+    path.write_bytes(blob)
+    parser = cli.build_parser()
+    argv = [command, "--config", str(path), "--out", "unused"]
+    try:
+        cli._set_config_defaults(parser.parse_args(argv).parser, str(path))
+        parser.parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+
+
+class TestInputFuzz:
+    @_FUZZ
+    @given(blob=st.binary(max_size=64))
+    def test_sweep_csv_random_bytes(self, fuzz_file, blob):
+        _fit_exits_cleanly(fuzz_file, blob)
+
+    @_FUZZ
+    @given(blob=_sweep_csv_text())
+    def test_sweep_csv_near_valid(self, fuzz_file, blob):
+        _fit_exits_cleanly(fuzz_file, blob)
+
+    @_FUZZ
+    @given(command=st.sampled_from(["gen", "run", "sweep"]), blob=st.binary(max_size=48))
+    def test_config_random_bytes(self, fuzz_file, command, blob):
+        _config_sets_defaults_or_exits_2(fuzz_file, command, blob)
+
+    @_FUZZ
+    @given(command=st.sampled_from(["gen", "run", "sweep"]),
+           conf=st.dictionaries(_CONFIG_KEY, _JSON_VALUE, max_size=4) | _JSON_VALUE)
+    def test_config_near_valid(self, fuzz_file, command, conf):
+        _config_sets_defaults_or_exits_2(fuzz_file, command, json.dumps(conf).encode())

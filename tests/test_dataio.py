@@ -224,6 +224,13 @@ class TestMatrixSetFile:
             read_matrix_set(path)
         assert err.value.index == 1
 
+    @pytest.mark.filterwarnings("error")  # an overflow warning fails the case
+    def test_entries_near_the_float_limit_accepted(self, tmp_path):
+        # Symmetrizing by (a + a.T) / 2 overflowed here and reported "min eigenvalue nan".
+        path = tmp_path / "big.msf"
+        path.write_text("2 1\n1e308 0\n0 1e308\n")
+        np.testing.assert_array_equal(read_matrix_set(path).points[0], np.diag([1e308, 1e308]))
+
     def test_header_count_mismatch(self, tmp_path):
         path = tmp_path / "short.msf"
         path.write_text("2 2\n1 0\n0 1\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spdsgd import manifold, objective, symmat
+from spdsgd import manifold, objective, rsgd, symmat
 from spdsgd.objective import (
     Ball,
     Dataset,
@@ -12,9 +12,11 @@ from spdsgd.objective import (
     sample_batch,
 )
 from spdsgd.rsgd import (
+    _BOUND_MARGIN,
     RunConfig,
     RunError,
     StepSchedule,
+    _loss_lower_bound,
     hitting_steps,
     reference_centroid,
     rsgd_step,
@@ -357,6 +359,19 @@ def far_start(d=3):
     return manifold.exp_map(np.eye(d), np.diag([1.0, -0.8, 0.6][:d]))
 
 
+def far_pair(rng, distance=8.0):
+    """``(a, x, u)``: a random SPD ``a``, a unit tangent ``u`` at it, and
+    ``x = exp_map(a, distance u)``."""
+    a = random_spd(rng, 3)
+    u = random_tangent(rng, 3, 1.0)
+    u /= np.sqrt(manifold.inner(a, u, u))
+    return a, manifold.exp_map(a, distance * u), u
+
+
+def diagonal_cloud(rng, n, d, spread=0.4):
+    return Dataset(np.stack([np.diag(np.exp(rng.normal(0.0, spread, size=d))) for _ in range(n)]))
+
+
 def count_evaluations(monkeypatch):
     """Record the point of every full objective evaluation."""
     points = []
@@ -395,10 +410,79 @@ class TestHittingSteps:
 
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.kind)
     def test_matches_run_where_bound_is_tight(self, rng, schedule):
-        # With one data matrix every step heads straight for it, so sqrt(f)
-        # drops by exactly the step length until a step overshoots.
+        # With one data matrix every step heads straight for it, so the
+        # iterates, the anchor and the data point lie on one geodesic and the
+        # bound equals f until a step overshoots.
         data = Dataset(random_spd(rng, 3)[None])
         self.assert_matches_run_at_adversarial_thresholds(data, schedule, 2)
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("b", [1, 4, 32])
+    def test_matches_run_on_diagonal_data(self, rng, schedule, b):
+        # Diagonal data and a diagonal start commute, so the bound equals f
+        # and every skip decision sits on the edge.
+        self.assert_matches_run_at_adversarial_thresholds(diagonal_cloud(rng, 32, 3), schedule, b)
+
+    def test_matches_run_from_a_far_anchor(self, rng, monkeypatch):
+        # One data matrix at distance 8 and steps that cover 90% of the way:
+        # the start stays the anchor until a threshold is near, so the
+        # bound's terms are about 64 while f and the thresholds reach 1e-14.
+        a, x0, _ = far_pair(rng)
+        data, schedule = Dataset(a[None]), StepSchedule.constant(0.45)
+        trace = run(RunConfig(data, x0, schedule, 1, 0, 9)).f
+        evaluated = count_evaluations(monkeypatch)
+        for k in range(1, 9):
+            eps = (np.nextafter(trace[k], np.inf), trace[k], np.nextafter(trace[k], -np.inf))
+            config = RunConfig(data, x0, schedule, 1, 0, 9, epsilons=eps)
+            hits, final_f, steps, _ = hitting_steps(config)
+            assert hits == {eps[0]: k, eps[1]: k + 1, eps[2]: k + 1}
+            assert (final_f, steps) == (trace[k + 1], k + 1)
+        assert len(evaluated) < 4 * 8
+
+    def test_evaluates_a_fifth_of_a_sweep_cell(self, rng, monkeypatch):
+        # The sweep benchmark's regime: 256 matrices of spread 0.5 around a
+        # centre at distance 0.5 from the start, thresholds at 1/2 and 1/4 of
+        # the excess loss.
+        data = cloud(rng, 256, 5, spread=0.5, center=np.exp(-0.5 / np.sqrt(5)) * np.eye(5))
+        f_star = loss(reference_centroid(data, 1e-9), data)
+        f0 = loss(np.eye(5), data)
+        eps = tuple(f_star + r * (f0 - f_star) for r in (0.5, 0.25))
+        for schedule in (StepSchedule.constant(0.005), StepSchedule.staircase(0.005, 0.5, 60, 4)):
+            config = RunConfig(data, np.eye(5), schedule, 32, 0, 20_000, epsilons=eps)
+            evaluated = count_evaluations(monkeypatch)
+            hits, _, steps, _ = hitting_steps(config)
+            assert hits[eps[1]] == steps
+            assert len(evaluated) < (steps + 1) / 5
+
+    def test_bound_is_taken_from_the_last_evaluated_iterate(self, rng, monkeypatch):
+        data = cloud(rng, 32, 3)
+        f0 = loss(far_start(), data)
+        config = RunConfig(data, far_start(), StepSchedule.constant(0.05), 4, 0, 400,
+                           epsilons=tuple(f0 * r for r in (0.8, 0.6, 0.45, 0.4, 0.35)))
+        summaries, fresh = [], []
+        summary, bound = objective.objective_summary, rsgd._loss_lower_bound
+        monkeypatch.setattr(objective, "objective_summary",
+                            lambda m, data: summaries.append(summary(m, data)) or summaries[-1])
+        monkeypatch.setattr(rsgd, "_loss_lower_bound",
+                            lambda anchor, y: fresh.append(anchor is summaries[-1]) or bound(anchor, y))
+        hitting_steps(config)
+        assert len(summaries) > 5 and len(fresh) > len(summaries)
+        assert all(fresh)
+
+    def test_failed_bound_falls_back_to_evaluation(self, rng, monkeypatch):
+        data = cloud(rng, 32, 3)
+        config = RunConfig(data, far_start(), StepSchedule.constant(0.05), 4, 0, 30,
+                           epsilons=(1e-12,))
+        record = run(config)
+
+        def fail(roots, q):
+            raise symmat.DomainError("eigenvalue -1 is not positive", -1.0)
+
+        monkeypatch.setattr(manifold, "_whitened_log", fail)
+        evaluated = count_evaluations(monkeypatch)
+        hits, final_f, steps, _ = hitting_steps(config)
+        assert len(evaluated) == steps + 1
+        assert (hits, final_f, steps) == (record.steps_to_epsilon, record.f[-1], record.steps)
 
     def test_evaluates_fewer_iterates_than_it_steps(self, rng, monkeypatch):
         data = cloud(rng, 32, 3)
@@ -439,3 +523,45 @@ class TestHittingSteps:
                 RunConfig(data, np.exp(40.0) * np.eye(3), StepSchedule.constant(1.0), 2, 0, 50)
             )
         assert np.all(np.isfinite(err.value.last_point))
+
+
+class TestLossLowerBound:
+    @pytest.mark.parametrize("n", [1, 2, 16, 64])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_below_the_loss(self, rng, n, d):
+        # Badly conditioned data, anchors and far points: the bound never
+        # exceeds the evaluated loss by more than rounding, 1000 times below
+        # the margin the loop allows for.
+        for _ in range(8):
+            data = Dataset(np.stack(
+                [random_spd(rng, d, cond=10.0 ** rng.uniform(0, 6)) for _ in range(n)]
+            ))
+            x_a = random_spd(rng, d, cond=10.0 ** rng.uniform(0, 6))
+            y = manifold.exp_map(x_a, random_tangent(rng, d, 8.0))
+            lb, scale = _loss_lower_bound(objective.objective_summary(x_a, data), y)
+            assert lb - loss(y, data) <= 1e-3 * _BOUND_MARGIN * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 64])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_equals_the_loss_where_everything_commutes(self, rng, n, d):
+        data = diagonal_cloud(rng, n, d, spread=2.0)
+        for _ in range(8):
+            x_a, y = (np.diag(np.exp(rng.normal(0.0, 2.0, size=d))) for _ in range(2))
+            lb, _ = _loss_lower_bound(objective.objective_summary(x_a, data), y)
+            assert lb == pytest.approx(loss(y, data), rel=1e-12)
+
+    def test_margin_covers_a_far_anchor(self, rng):
+        # Near the one data point, seen from an anchor at distance 8: L_y and
+        # m_a are about 8 in norm and differ by about t, so the rounding of
+        # their difference dwarfs 1e-9 of lb itself; the scale term covers it.
+        a, x_a, direction = far_pair(rng)
+        anchor = objective.objective_summary(x_a, Dataset(a[None]))
+        assert np.linalg.norm(anchor._mean_log) == pytest.approx(8.0, rel=1e-9)
+        errors = []
+        for t in (1e-5, 1e-6, 1e-7):
+            y = manifold.exp_map(a, t * direction)
+            lb, scale = _loss_lower_bound(anchor, y)
+            f = loss(y, Dataset(a[None]))
+            assert lb - f <= _BOUND_MARGIN * scale
+            errors.append(abs(lb - f) / f)
+        assert max(errors) > 1e-9

@@ -9,7 +9,7 @@ import spdsgd
 from spdsgd.symmat import (
     DomainError,
     congruence,
-    sym_apply_fn,
+    spectral,
     sym_eigen,
     symmetrize,
 )
@@ -66,8 +66,14 @@ def test_eigen_rejects_asymmetric():
         sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def fn_of(s, fn, positive=False):
+    """``fn`` applied to ``s`` through its spectrum: one :func:`spectral` matrix."""
+    (out,), _ = spectral(s, fn, positive=positive)
+    return out
+
+
 def test_exp_of_zero_is_identity():
-    np.testing.assert_allclose(sym_apply_fn(np.zeros((3, 3)), np.exp), np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(fn_of(np.zeros((3, 3)), np.exp), np.eye(3), atol=1e-15)
 
 
 def test_log_inverts_exp(rng):
@@ -75,26 +81,26 @@ def test_log_inverts_exp(rng):
         s = rng.standard_normal((4, 4))
         s = 0.5 * (s + s.T)
         s *= 2.0 / max(np.linalg.norm(s), 2.0)  # keep ||S||_F <= 2
-        back = sym_apply_fn(sym_apply_fn(s, np.exp), np.log, positive=True)
+        back = fn_of(fn_of(s, np.exp), np.log, positive=True)
         assert np.linalg.norm(back - s) <= 1e-10 * max(1.0, np.linalg.norm(s))
 
 
 def test_sqrt_squares_back():
     s = np.array([[2.0, 1.0], [1.0, 2.0]])
-    r = sym_apply_fn(s, np.sqrt, positive=True)
+    r = fn_of(s, np.sqrt, positive=True)
     np.testing.assert_allclose(r @ r, s, atol=1e-12)
 
 
 def test_spectral_mapping(rng):
     s = random_spd(rng, 5, cond=100)
-    out = sym_apply_fn(s, lambda w: w**2 + 1.0)
+    out = fn_of(s, lambda w: w**2 + 1.0)
     w_in, _ = sym_eigen(s)
     w_out, _ = sym_eigen(out)
     np.testing.assert_allclose(np.sort(w_out), np.sort(w_in**2 + 1.0), rtol=1e-10)
     # Log spectrum stays well-scaled even for badly conditioned input.
     s = random_spd(rng, 5, cond=1e4)
     w_in, _ = sym_eigen(s)
-    w_log, _ = sym_eigen(sym_apply_fn(s, np.log, positive=True))
+    w_log, _ = sym_eigen(fn_of(s, np.log, positive=True))
     np.testing.assert_allclose(
         np.sort(w_log), np.sort(np.log(w_in)), rtol=1e-10, atol=1e-12
     )
@@ -102,22 +108,22 @@ def test_spectral_mapping(rng):
 
 def test_identity_function_is_identity(rng):
     s = random_spd(rng, 5)
-    out = sym_apply_fn(s, lambda w: w)
+    out = fn_of(s, lambda w: w)
     assert np.linalg.norm(out - s) <= 1e-12 * np.linalg.norm(s)
 
 
 def test_domain_guard_reports_offender():
     s = np.diag([2.0, -3.0])
     with pytest.raises(DomainError) as err:
-        sym_apply_fn(s, np.log, positive=True)
+        fn_of(s, np.log, positive=True)
     assert err.value.eigenvalue == pytest.approx(-3.0)
 
 
 def test_positive_guard_is_optional():
     s = np.diag([2.0, -3.0])
-    np.testing.assert_allclose(sym_apply_fn(s, np.square), np.diag([4.0, 9.0]))
+    np.testing.assert_allclose(fn_of(s, np.square), np.diag([4.0, 9.0]))
     with pytest.raises(DomainError):
-        sym_apply_fn(s, np.square, positive=True)
+        fn_of(s, np.square, positive=True)
 
 
 def test_stacked_asymmetry_names_the_matrix():
