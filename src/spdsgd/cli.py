@@ -200,6 +200,8 @@ def cmd_gen(args, parser) -> int:
         parser.error("--spread must be positive")
     if args.seed < 0:
         parser.error("--seed must be nonnegative")
+    if args.seed >= rsgd._SEED_LIMIT:
+        parser.error("--seed must be below 2^64")
 
     center = _center_matrix(args.center, args.d)
     rng = Generator(Philox(key=np.uint64(args.seed)))
@@ -241,6 +243,8 @@ def cmd_run(args, parser) -> int:
         parser.error("--steps must be nonnegative")
     if args.seed < 0:
         parser.error("--seed must be nonnegative")
+    if args.seed >= rsgd._SEED_LIMIT:
+        parser.error("--seed must be below 2^64")
     epsilons = tuple(sorted(set(args.epsilons), reverse=True))
 
     data = dataio.read_matrix_set(args.data)
@@ -288,6 +292,8 @@ def cmd_sweep(args, parser) -> int:
         parser.error("--steps must be positive")
     if args.jobs < 1:
         parser.error("--jobs must be positive")
+    if any(seed >= rsgd._SEED_LIMIT for seed in args.seeds):
+        parser.error("--seeds must be below 2^64")
 
     data = dataio.read_matrix_set(args.data)
     try:
@@ -554,6 +560,7 @@ def main(argv=None) -> int:
         FitError,
         OSError,
         ValueError,
+        MemoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

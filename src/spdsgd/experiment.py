@@ -31,7 +31,7 @@ import numpy as np
 from scipy import optimize, stats
 
 from .objective import Dataset
-from .rsgd import RunConfig, RunError, StepSchedule, hitting_steps
+from .rsgd import RunConfig, RunError, StepSchedule, _SEED_LIMIT, _descend
 from .rsgd import run  # noqa: F401  (bench/test_bench_harness.py traces this binding)
 
 
@@ -82,6 +82,8 @@ class SweepConfig:
             raise ValueError("seeds must be distinct")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be nonnegative")
+        if any(s >= _SEED_LIMIT for s in self.seeds):
+            raise ValueError("seeds must be below 2^64 (a Philox key)")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
         if self.n_jobs < 1:
@@ -138,62 +140,65 @@ class SweepRecord:
         return out
 
 
-def _run_job(config: SweepConfig, schedule: StepSchedule, b: int, seed: int):
-    eps_desc = tuple(sorted(config.epsilons, reverse=True))
-    run_config = RunConfig(
-        data=config.data,
-        x0=config.x0,
-        schedule=schedule,
-        batch_size=b,
-        seed=seed,
-        max_steps=config.max_steps,
-        epsilons=eps_desc,
-    )
-    try:
-        hits, final_f, _, wall_s = hitting_steps(run_config)
-    except RunError as exc:
-        return {
-            (schedule.label, e, b, seed): CellResult(None, None, np.nan, 0.0, error=str(exc))
-            for e in config.epsilons
-        }
-    out = {}
-    for e in config.epsilons:
-        k = hits[e]
-        out[(schedule.label, e, b, seed)] = CellResult(
-            steps=k, sfo=None if k is None else k * b, final_f=final_f, wall_ms=wall_s * 1e3
-        )
-    return out
-
-
 def sweep(config: SweepConfig) -> SweepRecord:
     """Run one optimizer trajectory per (schedule, batch, seed) grid point.
 
     Thresholds share a trajectory: the step count for each epsilon is read
     off the same run, which is exactly what separate runs would measure
     since batch draws are keyed by (seed, step) and do not depend on the
-    threshold list.  Each cell runs :func:`spdsgd.rsgd.hitting_steps`, which
-    evaluates the loss only at the last iterate and where a lower bound on
-    ``f``, taken in the tangent space of the last evaluated iterate,
-    leaves a threshold within reach; its ``K`` and ``final_f`` equal
-    :func:`spdsgd.rsgd.run`'s bit for bit.  Cells are assembled in
-    grid order, so the record is identical no matter how many jobs execute
-    concurrently.
+    threshold list.  The runs advance in lockstep through one call of
+    :func:`spdsgd.rsgd._descend`, whose one-run case is
+    :func:`spdsgd.rsgd.hitting_steps`: the loss is evaluated only at the
+    last iterate and where a lower bound on ``f``, taken in the tangent
+    space of the last evaluated iterate, leaves a threshold within reach,
+    and each cell's ``K`` and ``final_f`` equal :func:`spdsgd.rsgd.run`'s
+    bit for bit.  Runs of one (batch, seed) share their steps until their
+    step sizes differ, ``x0`` is evaluated once, and every step decomposes
+    all runs' small matrices in a few stacked calls.  A run that fails
+    errors its own cells only.  ``wall_ms`` is the time from the group's
+    start until the run stopped.  With ``n_jobs > 1``, the (batch, seed)
+    groups are dealt round-robin to ``min(n_jobs, groups)`` threads, each
+    advancing its share in lockstep.  Cells are assembled in grid order, so
+    the record is identical no matter how many jobs execute concurrently.
     """
-    jobs = list(product(config.schedules, config.batch_sizes, config.seeds))
-    if config.n_jobs == 1:
-        results = [_run_job(config, s, b, seed) for s, b, seed in jobs]
+    eps_desc = tuple(sorted(config.epsilons, reverse=True))
+    runs = [
+        RunConfig(config.data, config.x0, s, b, seed, config.max_steps, epsilons=eps_desc)
+        for s, b, seed in product(config.schedules, config.batch_sizes, config.seeds)
+    ]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, r in enumerate(runs):
+        groups.setdefault((r.batch_size, r.seed), []).append(i)
+    workers = min(config.n_jobs, len(groups))
+    shares = [[i for g in list(groups.values())[w::workers] for i in g] for w in range(workers)]
+
+    def advance(share: list[int]) -> list:
+        return _descend([runs[i] for i in share])
+
+    if workers == 1:
+        results = [advance(shares[0])]
     else:
-        with ThreadPoolExecutor(max_workers=config.n_jobs) as pool:
-            futures = [pool.submit(_run_job, config, s, b, seed) for s, b, seed in jobs]
-            results = [f.result() for f in futures]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(advance, shares))
+    outcomes = {}
+    for share, result in zip(shares, results):
+        for i, outcome in zip(share, result):
+            r = runs[i]
+            outcomes[(r.schedule.label, r.batch_size, r.seed)] = outcome
+
     cells: dict[CellKey, CellResult] = {}
-    for chunk in results:
-        cells.update(chunk)
-    ordered = {
-        key: cells[key]
-        for key in SweepRecord(config, cells).keys_in_grid_order()
-    }
-    return SweepRecord(config=config, cells=ordered)
+    for key in SweepRecord(config, cells).keys_in_grid_order():
+        label, e, b, seed = key
+        outcome = outcomes[(label, b, seed)]
+        if isinstance(outcome, RunError):
+            cells[key] = CellResult(None, None, np.nan, 0.0, error=str(outcome))
+            continue
+        hits, final_f, _, _, wall_s = outcome
+        k = hits[e]
+        cells[key] = CellResult(
+            steps=k, sfo=None if k is None else k * b, final_f=final_f, wall_ms=wall_s * 1e3
+        )
+    return SweepRecord(config=config, cells=cells)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ through :func:`spdsgd.symmat.spectral`.  Public functions validate their
 operands and then decompose the base point once into its root pair
 ``(P^{1/2}, P^{-1/2})`` (:func:`_edge`).  The unchecked internals
 ``_exp_map``, ``_log_map``, ``_distance`` and ``_inner`` take that pair, so
-a caller holding a point's roots (an objective summary) passes them on.
+a caller holding a point's roots (an objective summary) passes them on.  They
+also take a stack of pairs, one base point per matrix of a stack operand,
+and give each matrix the floats of a lone call (:func:`_per_point`).
 """
 
 from __future__ import annotations
@@ -126,14 +128,29 @@ def exp_map(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _exp_map(*_edge(p, X=x))
 
 
+def _per_point(fn, roots: _Roots):
+    """``fn`` for a spectral call at ``roots``.
+
+    A stack of root pairs is a stack of base points, each with its own
+    matrix, and then each spectrum takes ``fn`` on its own, as in a lone
+    call: numpy's ``exp`` and ``log`` take a vector loop on a stacked
+    spectrum and a scalar one on a lone matrix's (``eigh``'s reversed view),
+    and the two differ in the last ulp.  Matmul, ``eigh`` and the
+    composition give each matrix of a stack its lone floats already.
+    """
+    if roots[0].ndim < 3:
+        return fn
+    return lambda w: np.stack([fn(row) for row in w])
+
+
 def _exp_map(roots: _Roots, x: np.ndarray) -> np.ndarray:
-    (e,), _ = spectral(_whiten(roots, x), np.exp)
+    (e,), _ = spectral(_whiten(roots, x), _per_point(np.exp, roots))
     return _unwhiten(roots, e)
 
 
 def _whitened_log(roots: _Roots, q: np.ndarray) -> np.ndarray:
     """``log(P^{-1/2} Q P^{-1/2})``; the relative spectrum must be positive."""
-    (lw,), _ = spectral(_whiten(roots, q), np.log, positive=True)
+    (lw,), _ = spectral(_whiten(roots, q), _per_point(np.log, roots), positive=True)
     return lw
 
 

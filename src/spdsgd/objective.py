@@ -73,7 +73,7 @@ class ObjectiveSummary:
     until then a batch gradient composes only its own rows.  Metric norms of
     tangents at ``M`` equal Frobenius norms of their whitened forms.
     ``roots`` is the pair ``(M^{1/2}, M^{-1/2})`` that the manifold
-    internals take.
+    internals take.  :meth:`_release` drops the per-matrix stacks.
     """
 
     value: float
@@ -103,6 +103,15 @@ class ObjectiveSummary:
         """The full Riemannian gradient at ``M``."""
         return manifold._unwhiten(self.roots, -2.0 * self._mean_log)
 
+    def _release(self) -> None:
+        """Keep only ``value``, ``roots``, ``_mean_log``, ``sigma2`` and what
+        derives from them, which is what a loss bound at a later iterate
+        reads; a batch gradient can no longer be taken from this summary."""
+        self.sigma2  # noqa: B018  (computed, with _mean_log, while the stack is here)
+        vars(self).pop("whitened_logs", None)
+        object.__setattr__(self, "eigenvectors", None)
+        object.__setattr__(self, "log_spectra", None)
+
 
 def _whitened_spectra(m: np.ndarray, points: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
     """``(roots of m, eigenvectors, log spectra)`` of ``M^-1/2 A_i M^-1/2``."""
@@ -115,10 +124,25 @@ def _whitened_spectra(m: np.ndarray, points: np.ndarray) -> tuple[tuple, np.ndar
     return roots, v, np.log(np.ascontiguousarray(w))
 
 
-def _batch_gradient(m: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """``(gradient of the terms in points alone, roots of m)``."""
-    roots, v, lw = _whitened_spectra(m, points)
-    return _gradient(roots, compose(v, lw)), roots
+def _batch_gradients(roots: list[manifold._Roots], points: np.ndarray, batches: list,
+                     cap: int) -> list:
+    """Gradient of the terms ``points[batches[i]]`` alone at the point whose
+    root pair is ``roots[i]``, for every ``i``.
+
+    The whitened rows of all points are decomposed together, at most ``cap``
+    of them per stacked ``eigh``, in one buffer that then holds their logs.
+    numpy decomposes and composes each row on its own, and logs each
+    contiguous entry alike (see :func:`_whitened_spectra`), so a point's
+    gradient has the floats it has alone.
+    """
+    ends = np.cumsum([len(batch) for batch in batches])
+    stack = np.empty((ends[-1], *points.shape[1:]))
+    for r, batch, hi in zip(roots, batches, ends):
+        stack[hi - len(batch):hi] = manifold._whiten(r, points[batch])
+    for lo in range(0, len(stack), cap):
+        w, v = eigen_stack(stack[lo:lo + cap], positive=True)
+        stack[lo:lo + cap] = compose(v, np.log(np.ascontiguousarray(w)))
+    return [_gradient(r, logs) for r, logs in zip(roots, np.split(stack, ends[:-1]))]
 
 
 def _gradient(roots: manifold._Roots, logs: np.ndarray) -> np.ndarray:
@@ -174,7 +198,7 @@ def batch_gradient(m: np.ndarray, data: Dataset, batch: np.ndarray) -> np.ndarra
         raise ValueError("batch must be a nonempty 1-d index array")
     if batch.min() < 0 or batch.max() >= data.n:
         raise ValueError(f"batch index out of range [0, {data.n})")
-    return _batch_gradient(m, data.points[batch])[0]
+    return _batch_gradients([manifold.sqrt_and_inv_sqrt(m)], data.points, [batch], batch.size)[0]
 
 
 def gradient_variance(m: np.ndarray, data: Dataset) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -26,6 +27,8 @@ from .symmat import NumericalError
 _STEP_FAILURES = (ValueError, FloatingPointError, NumericalError)
 
 _ORACLE_MAX_ITERS = 1_000_000
+
+_SEED_LIMIT = 2**64  # seeds key a Philox generator with one 64-bit word
 
 
 class ConvergenceError(RuntimeError):
@@ -174,6 +177,8 @@ class RunConfig:
             raise ValueError("batch_size must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.seed >= _SEED_LIMIT:
+            raise ValueError(f"seed must be below 2^64 (a Philox key), got {self.seed}")
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
         eps = tuple(float(e) for e in self.epsilons)
@@ -238,27 +243,87 @@ def _loss_lower_bound(anchor: objective.ObjectiveSummary, y: np.ndarray) -> tupl
     It is tight when the iterates and the data commute, and when ``x_a``,
     ``y`` and a lone data point lie on one geodesic.  ``scale = f(x_a) +
     d(x_a, y)^2`` bounds the size of the terms whose difference ``lb`` takes,
-    and so its rounding.  One decomposition of the whitened ``y``.
+    and so its rounding.  One decomposition of the whitened ``y``.  With
+    anchors stacked by :func:`_stack_anchors` and ``y`` a stack of as many
+    points, ``lb`` and ``scale`` are arrays of the lone values.
     """
     l_y = manifold._whitened_log(anchor.roots, y)
     gap = l_y - anchor._mean_log
-    lb = anchor.sigma2 / 4.0 + float(np.einsum("ij,ij->", gap, gap))
-    return lb, anchor.value + float(np.einsum("ij,ij->", l_y, l_y))
+    lb = anchor.sigma2 / 4.0 + np.einsum("...ij,...ij->...", gap, gap)
+    return lb, anchor.value + np.einsum("...ij,...ij->...", l_y, l_y)
 
 
-def _certified(anchor: objective.ObjectiveSummary | None, y: np.ndarray, e: float) -> bool:
-    """Whether ``f(y) >= e`` holds by :func:`_loss_lower_bound`, rounding included."""
-    if anchor is None:
-        return False
+def _stack(values: list):
+    """One value as is, or several stacked on a new leading axis (root pairs
+    item by item).  The stacked kernels of :func:`_descend` take either, and
+    a lone value gets exactly the one-trajectory computation."""
+    if len(values) == 1:
+        return values[0]
+    if isinstance(values[0], tuple):
+        return tuple(np.stack(items) for items in zip(*values))
+    return np.stack(values)
+
+
+def _unstack(value, n: int) -> list:
+    """The ``n`` values that :func:`_stack` stacked into ``value``."""
+    if n == 1:
+        return [value]
+    return list(zip(*value)) if isinstance(value, tuple) else list(value)
+
+
+def _stack_anchors(anchors: list[objective.ObjectiveSummary]):
+    """Anchors as :func:`_stack` stacks values: the fields that
+    :func:`_loss_lower_bound` reads, each stacked."""
+    if len(anchors) == 1:
+        return anchors[0]
+    return SimpleNamespace(**{name: _stack([getattr(a, name) for a in anchors])
+                              for name in ("value", "roots", "_mean_log", "sigma2")})
+
+
+def _each(kernel, items: list) -> list:
+    """``kernel(items)``, one result per item.  If the stacked call fails,
+    each item is retried alone, so that every failure is the one its lone
+    call meets, and it stands in that item's result."""
+    if not items:
+        return []
     try:
-        lb, scale = _loss_lower_bound(anchor, y)
-    except _STEP_FAILURES:  # left for the full evaluation to report
-        return False
-    return lb >= e * (1.0 + _BOUND_MARGIN) + _BOUND_MARGIN * scale
+        return kernel(items)
+    except _STEP_FAILURES as exc:
+        if len(items) == 1:
+            return [exc]
+        return [_each(kernel, [item])[0] for item in items]
 
 
-def _descend(config: RunConfig, observe=None) -> tuple[dict, float, np.ndarray, int]:
-    """The RSGD loop; returns ``(steps_to_epsilon, final f, final point, steps)``.
+def _failure(what: str, k: int, x: np.ndarray, exc: Exception) -> RunError:
+    err = RunError(f"{what} failed at step {k}: {exc}", k, x)
+    err.__cause__ = exc
+    return err
+
+
+@dataclass(eq=False)
+class _Branch:
+    """Trajectories that have taken the same steps so far, and their one state.
+
+    Members share the dataset, ``x0``, batch size, seed, thresholds and step
+    budget, so they draw the same batches; they part where their step sizes
+    differ.  ``anchor`` is the summary of the last evaluated iterate.
+    """
+
+    members: list[int]
+    config: RunConfig
+    x: np.ndarray
+    eps_left: list[float]
+    hits: dict[float, int | None]
+    anchor: objective.ObjectiveSummary | None = None
+
+
+def _descend(configs: list[RunConfig], observe=None) -> list:
+    """The RSGD loop, advancing every run of ``configs`` in lockstep.
+
+    Returns one outcome per config: ``(steps_to_epsilon, final f, final
+    point, steps, seconds)``, the seconds counted from this call's start until
+    the run stopped, or the :class:`RunError` that stopped it.  The configs
+    must share one dataset.  Each run's floats are those it has alone.
 
     With ``observe``, every iterate is evaluated and its summary passed to
     ``observe``.  Without, only the last iterate and those where a threshold
@@ -267,47 +332,132 @@ def _descend(config: RunConfig, observe=None) -> tuple[dict, float, np.ndarray, 
     ``e (1 + 1e-9)`` (plus ``1e-9`` of the bound's scale) for the largest
     remaining ``e`` takes its batch gradient from its ``b`` rows alone.  That
     gradient is bit-identical to a full evaluation's.
+
+    Runs that differ only in their schedule share one state (a branch) while
+    their step sizes are equal floats, and iterates at equal points, such as
+    a shared ``x0``, are evaluated once per step.  Each step makes one
+    stacked ``eigh`` per kernel over all branches: the bounds, the root pairs
+    and the batch rows (at most ``N`` rows a call) of the skipped iterates,
+    and the exponential maps.  Full evaluations stay per branch.  A stacked
+    kernel that fails is retried branch by branch, so that a failure stops
+    only its own runs, with the message and step a lone run reports.  Once
+    its batch gradient is taken, an anchor keeps only what the bound reads,
+    and a stopped run's branch and summary are dropped.
     """
-    data = config.data
-    eps_left = list(config.epsilons)
-    hits: dict[float, int | None] = {e: None for e in config.epsilons}
-    x, k = config.x0, 0
-    anchor = None  # summary of the last evaluated iterate
-    while True:
-        summary = None
-        skip = observe is None and k < config.max_steps and (
-            not eps_left or _certified(anchor, x, eps_left[0])
-        )
-        if not skip:
+    data = configs[0].data
+    if any(c.data is not data for c in configs):
+        raise ValueError("runs advanced in lockstep must share one dataset")
+    t_start = time.perf_counter()
+    outcomes: list = [None] * len(configs)
+    shared: dict[tuple, list[int]] = {}
+    for i, c in enumerate(configs):
+        key = (c.x0.tobytes(), c.batch_size, c.seed, c.epsilons, c.max_steps)
+        shared.setdefault(key, []).append(i)
+    branches = [
+        _Branch(members, configs[members[0]], configs[members[0]].x0,
+                list(configs[members[0]].epsilons), dict.fromkeys(configs[members[0]].epsilons))
+        for members in shared.values()
+    ]
+
+    def stop(branch: _Branch, outcome) -> None:
+        for i in branch.members:
+            outcomes[i] = outcome
+
+    def bounds(brs: list[_Branch]) -> list:
+        lb, scale = _loss_lower_bound(_stack_anchors([br.anchor for br in brs]),
+                                      _stack([br.x for br in brs]))
+        return list(zip(np.atleast_1d(lb), np.atleast_1d(scale)))
+
+    def batch_gradients(brs: list[tuple[_Branch, np.ndarray]]) -> list:
+        roots = _unstack(manifold.sqrt_and_inv_sqrt(_stack([br.x for br, _ in brs])), len(brs))
+        batches = [batch for _, batch in brs]
+        return list(zip(objective._batch_gradients(roots, data.points, batches, data.n), roots))
+
+    def exp_maps(moves: list) -> list:
+        roots, tangents = _stack([m[2] for m in moves]), _stack([m[3] for m in moves])
+        return _unstack(manifold._exp_map(roots, tangents), len(moves))
+
+    k = 0
+    while branches:
+        # Which iterates skip their evaluation.
+        free = [br for br in branches if observe is None and k < br.config.max_steps]
+        bounded = [br for br in free if br.eps_left and br.anchor is not None]
+        skip = {id(br) for br in free if not br.eps_left}
+        for br, bound in zip(bounded, _each(bounds, bounded)):
+            if isinstance(bound, Exception):  # left for the full evaluation to report
+                continue
+            lb, scale = bound
+            if lb >= br.eps_left[0] * (1.0 + _BOUND_MARGIN) + _BOUND_MARGIN * scale:
+                skip.add(id(br))
+
+        # Evaluate the others; a run stops at its last iterate or its last hit.
+        evaluated: dict[bytes, objective.ObjectiveSummary] = {}
+        stepping, skipped = [], []
+        for br in branches:
+            if id(br) in skip:
+                skipped.append(br)
+                continue
+            point = br.x.tobytes()
             try:
-                summary = objective.objective_summary(x, data)
+                if point not in evaluated:
+                    evaluated[point] = objective.objective_summary(br.x, data)
+                summary = evaluated[point]
                 if observe is not None:
                     observe(summary)
             except _STEP_FAILURES as exc:
-                raise RunError(f"objective evaluation failed at step {k}: {exc}", k, x) from exc
-            anchor = summary
-            for e in list(eps_left):
+                stop(br, _failure("objective evaluation", k, br.x, exc))
+                continue
+            br.anchor = summary
+            for e in list(br.eps_left):
                 if summary.value < e:
-                    hits[e] = k
-                    eps_left.remove(e)
-
-        if (config.epsilons and not eps_left) or k >= config.max_steps:
-            return hits, summary.value, x, k
-
-        a_k = step_size(config.schedule, k)
-        batch = objective.sample_batch(step_rng(config.seed, k), data.n, config.batch_size)
-        try:
-            if summary is None:
-                g, roots = objective._batch_gradient(x, data.points[batch])
+                    br.hits[e] = k
+                    br.eps_left.remove(e)
+            if (br.config.epsilons and not br.eps_left) or k >= br.config.max_steps:
+                stop(br, (br.hits, summary.value, br.x, k, time.perf_counter() - t_start))
             else:
-                g, roots = objective.batch_gradient_from_summary(summary, batch), summary.roots
-            x_next = manifold._exp_map(roots, -a_k * g)
-            if not np.all(np.isfinite(x_next)):
-                raise FloatingPointError("iterate has non-finite entries")
-        except _STEP_FAILURES as exc:
-            raise RunError(f"update failed at step {k}: {exc}", k, x) from exc
-        x = x_next
+                stepping.append(br)
+
+        # Batch gradients: from the summary, or from the batch rows alone.
+        def batch(br: _Branch) -> np.ndarray:
+            return objective.sample_batch(step_rng(br.config.seed, k), data.n,
+                                          br.config.batch_size)
+
+        grads = []
+        for br in stepping:
+            try:
+                g = objective.batch_gradient_from_summary(br.anchor, batch(br))
+                grads.append((br, (g, br.anchor.roots)))
+            except _STEP_FAILURES as exc:
+                grads.append((br, exc))
+        evaluated.clear()  # stopped runs' summaries go before the batch rows come
+        for br in stepping:
+            br.anchor._release()
+        grads += zip(skipped, _each(batch_gradients, [(br, batch(br)) for br in skipped]))
+
+        # One exponential map per branch and distinct step size.
+        moves = []
+        for br, grad in grads:
+            if isinstance(grad, Exception):
+                stop(br, _failure("update", k, br.x, grad))
+                continue
+            g, roots = grad
+            by_alpha: dict[float, list[int]] = {}
+            for i in br.members:
+                by_alpha.setdefault(step_size(configs[i].schedule, k), []).append(i)
+            moves += [(br, members, roots, -a_k * g) for a_k, members in by_alpha.items()]
+        branches = []
+        for (br, members, _, _), x_next in zip(moves, _each(exp_maps, moves)):
+            if not isinstance(x_next, Exception) and not np.all(np.isfinite(x_next)):
+                x_next = FloatingPointError("iterate has non-finite entries")
+            child = _Branch(members, configs[members[0]], br.x, list(br.eps_left),
+                            dict(br.hits), br.anchor)
+            if isinstance(x_next, Exception):
+                stop(child, _failure("update", k, br.x, x_next))
+            else:
+                child.x = x_next
+                branches.append(child)
         k += 1
+    return outcomes
 
 
 def run(config: RunConfig) -> RunRecord:
@@ -331,7 +481,10 @@ def run(config: RunConfig) -> RunRecord:
             gap, d_ref = _reference_metrics(summary.roots, summary.gradient, config.reference)
         rows.append((summary.value, summary.grad_norm, gap, d_ref, summary.sigma2))
 
-    hits, _, x, steps = _descend(config, observe)
+    (outcome,) = _descend([config], observe)
+    if isinstance(outcome, RunError):
+        raise outcome
+    hits, _, x, steps, _ = outcome
     f, grad_norm, gap, d_ref, sigma2 = (np.asarray(col) for col in zip(*rows))
     return RunRecord(
         f=f,
@@ -353,14 +506,17 @@ def hitting_steps(config: RunConfig) -> tuple[dict[float, int | None], float, in
     """:func:`run`'s hits, evaluating the loss only where one can occur.
 
     Returns ``(steps_to_epsilon, final_f, steps, wall_s)``, equal to ``run``'s
-    bit for bit (see :func:`_descend`).  Between evaluations, each iterate
-    costs one small ``eigh`` for :func:`_loss_lower_bound`, taken from the
-    last evaluated iterate.  An iterate the bound skips decomposes only its
+    bit for bit: it is :func:`_descend`'s one-run case, as a sweep cell is
+    one run of a lockstep group.  Between evaluations, each iterate costs one
+    small ``eigh`` for :func:`_loss_lower_bound`, taken from the last
+    evaluated iterate.  An iterate the bound skips decomposes only its
     batch's rows, so a geometry failure in another row goes unseen.
     """
-    t_start = time.perf_counter()
-    hits, final_f, _, steps = _descend(config)
-    return hits, final_f, steps, time.perf_counter() - t_start
+    (outcome,) = _descend([config])
+    if isinstance(outcome, RunError):
+        raise outcome
+    hits, final_f, _, steps, wall_s = outcome
+    return hits, final_f, steps, wall_s
 
 
 def reference_centroid(data: Dataset, tol: float) -> np.ndarray:

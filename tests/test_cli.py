@@ -53,6 +53,45 @@ def test_bad_flag_text_is_usage_error(tmp_path, capsys, argv, flag):
     assert f"error: argument {flag}: " in err and " value: " not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "--seed", str(2**64)], "--seed"),
+        (["run", "--data", "x.msf", "--seed", str(2**64)], "--seed"),
+        (["sweep", "--data", "x.msf", "--seeds", f"0,{2**64}"], "--seeds"),
+    ],
+    ids=["gen", "run", "sweep"],
+)
+def test_seed_beyond_64_bits_is_usage_error(tmp_path, capsys, argv, flag):
+    # A seed keys a Philox generator with one 64-bit word.
+    with pytest.raises(SystemExit) as exc:
+        invoke([*argv, "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    assert f"error: {flag} must be below 2^64" in capsys.readouterr().err
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    assert invoke(["gen", "--n", "2", "--d", "2", "--seed", str(2**64 - 1),
+                   "--out", str(tmp_path / "x.msf")]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--batch", str(2**50)], ["sweep", "--batches", "2^50..2^50"]],
+    ids=["run", "sweep"],
+)
+def test_unallocatable_batch_is_runtime_error(tmp_path, capsys, argv):
+    # 2^50 indices take 8 PiB, beyond any user address space, so the
+    # allocation fails at once.
+    data = make_data(tmp_path)
+    capsys.readouterr()
+    code = invoke([argv[0], "--data", str(data), *argv[1:], "--steps", "3",
+                   "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def make_data(tmp_path, n=12, d=3, spread=0.4, seed=3):
     path = tmp_path / "data.msf"
     code = invoke(

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spdsgd import manifold
+from spdsgd import experiment, manifold, objective, symmat
 from spdsgd.experiment import (
     FitDomainError,
     FitInputs,
@@ -18,7 +18,7 @@ from spdsgd.experiment import (
     sweep,
 )
 from spdsgd.objective import Dataset, loss
-from spdsgd.rsgd import _KINDS, RunConfig, StepSchedule, run
+from spdsgd.rsgd import _KINDS, RunConfig, RunError, StepSchedule, hitting_steps, run
 
 from conftest import random_spd
 
@@ -137,6 +137,154 @@ class TestSweep:
             )
         with pytest.raises(ValueError, match="nonnegative"):
             small_sweep_config(rng, seeds=(-1, 0))
+
+
+def lockstep_config(rng, **over):
+    # A constant and a staircase schedule that share their first 10 steps,
+    # inverse_sqrt, and a batch above N = 16.
+    config = small_sweep_config(
+        rng,
+        schedules=(
+            StepSchedule.constant(0.05),
+            StepSchedule.staircase(0.05, 0.5, 10, 3),
+            StepSchedule.inverse_sqrt(),
+        ),
+        batch_sizes=(1, 4, 19),
+        seeds=(0, 1, 2),
+        max_steps=200,
+    )
+    f0 = loss(config.x0, config.data)
+    return dataclasses.replace(config, **{"epsilons": (0.6 * f0, 0.3 * f0, 0.2 * f0), **over})
+
+
+def lone_run(config, schedule, b, seed, **over):
+    fields = {"max_steps": config.max_steps,
+              "epsilons": tuple(sorted(config.epsilons, reverse=True)), **over}
+    return RunConfig(config.data, config.x0, schedule, b, seed, **fields)
+
+
+def count_calls(monkeypatch):
+    """``(points evaluated, _eigh calls made outside full evaluations)``."""
+    points, outside, depth = [], [], [0]
+    summary, eigh = objective.objective_summary, symmat._eigh
+
+    def counted_summary(m, data):
+        points.append(m)
+        depth[0] += 1
+        try:
+            return summary(m, data)
+        finally:
+            depth[0] -= 1
+
+    def counted_eigh(s):
+        if not depth[0]:
+            outside.append(np.shape(s))
+        return eigh(s)
+
+    monkeypatch.setattr(objective, "objective_summary", counted_summary)
+    monkeypatch.setattr(symmat, "_eigh", counted_eigh)
+    return points, outside
+
+
+class TestLockstep:
+    def test_cells_equal_separate_hitting_steps(self, rng):
+        config = lockstep_config(rng)
+        record = sweep(config)
+        for schedule in config.schedules:
+            for b in config.batch_sizes:
+                for seed in config.seeds:
+                    hits, final_f, _, _ = hitting_steps(lone_run(config, schedule, b, seed))
+                    for e in config.epsilons:
+                        cell = record.cells[(schedule.label, e, b, seed)]
+                        assert (cell.steps, cell.final_f, cell.error) == (hits[e], final_f, None)
+                        assert cell.wall_ms > 0
+
+    def test_failure_stops_only_its_own_runs(self, rng, monkeypatch):
+        # The eigensolver fails on one iterate of (constant, b = 4, seed 1),
+        # inside the staircase's shared prefix, where the stacked root pairs
+        # of the skipped iterates meet it: those two runs' cells get the
+        # error a lone run reports, and every other cell is unchanged.
+        config = lockstep_config(rng)
+        clean = sweep(config)
+        target = run(lone_run(config, StepSchedule.constant(0.05), 4, 1, max_steps=6)).final_point
+        eigh = symmat._eigh
+
+        def failing(s):
+            if np.any(np.all(np.reshape(s, (-1, 3, 3)) == target, axis=(1, 2))):
+                raise symmat.NumericalError("eigensolver stub failed")
+            return eigh(s)
+
+        monkeypatch.setattr(symmat, "_eigh", failing)
+        record = sweep(config)
+        failed = {(label, b, seed) for (label, _, b, seed), cell in record.cells.items()
+                  if cell.error is not None}
+        assert failed == {("constant:0.05", 4, 1), ("staircase:0.05,0.5,10,3", 4, 1)}
+        for schedule in config.schedules[:2]:
+            with pytest.raises(RunError) as err:
+                hitting_steps(lone_run(config, schedule, 4, 1))
+            assert str(err.value) == "update failed at step 6: eigensolver stub failed"
+            for e in config.epsilons:
+                assert record.cells[(schedule.label, e, 4, 1)].error == str(err.value)
+        for key, cell in record.cells.items():
+            if (key[0], key[2], key[3]) not in failed:
+                assert (cell.steps, cell.final_f) == (clean.cells[key].steps, clean.cells[key].final_f)
+
+    def test_x0_is_evaluated_once(self, rng, monkeypatch):
+        config = lockstep_config(rng)
+        points, _ = count_calls(monkeypatch)
+        sweep(config)
+        assert sum(np.array_equal(p, config.x0) for p in points) == 1
+
+    def test_eigh_calls_do_not_grow_with_seeds(self, rng, monkeypatch):
+        # Every cell is censored, so every run takes all 30 steps; the rows
+        # of all batches fit in one call of N = 64 rows.
+        data = cloud(rng, 64, 3)
+        config = small_sweep_config(rng, data=data, epsilons=(1e-9,), batch_sizes=(1, 4),
+                                    max_steps=30)
+        counts = []
+        for seeds in ((0, 1), (0, 1, 2, 3, 4, 5)):
+            points, outside = count_calls(monkeypatch)
+            record = sweep(dataclasses.replace(config, seeds=seeds))
+            assert all(cell.censored for cell in record.cells.values())
+            assert len(points) == 1 + len(record.cells)  # x0, then each run's last iterate
+            counts.append(len(outside))
+        assert counts[0] == counts[1] == 30 + 3 * 29  # exp maps; bounds, roots, rows
+
+    def test_shared_prefix_costs_no_evaluation(self, rng, monkeypatch):
+        # Within max_steps <= T, the staircase takes the constant's steps.
+        config = small_sweep_config(rng, batch_sizes=(1, 4), max_steps=40)
+        counts = []
+        for schedules in ((StepSchedule.constant(0.05),),
+                          (StepSchedule.constant(0.05), StepSchedule.staircase(0.05, 0.5, 40, 2))):
+            points, _ = count_calls(monkeypatch)
+            record = sweep(dataclasses.replace(config, schedules=schedules))
+            counts.append(len(points))
+        assert counts[0] == counts[1] > 1
+        for (label, e, b, seed), cell in record.cells.items():
+            twin = record.cells[("constant:0.05", e, b, seed)]
+            assert (cell.steps, cell.final_f) == (twin.steps, twin.final_f)
+
+    def test_threads_never_outnumber_groups(self, rng, monkeypatch):
+        workers = []
+
+        class Recording(experiment.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(experiment, "ThreadPoolExecutor", Recording)
+        config = small_sweep_config(rng, n_jobs=8)
+        record = sweep(config)
+        assert workers == [4]  # 2 batches x 2 seeds
+        serial = sweep(dataclasses.replace(config, n_jobs=1))
+        assert workers == [4]
+        for key, cell in record.cells.items():
+            assert (cell.steps, cell.final_f) == (serial.cells[key].steps, serial.cells[key].final_f)
+
+    def test_seeds_must_fit_a_philox_key(self, rng):
+        small_sweep_config(rng, seeds=(0, 2**64 - 1))
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            small_sweep_config(rng, seeds=(0, 2**64))
 
 
 class TestMonotoneConvex:

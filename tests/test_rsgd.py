@@ -565,3 +565,48 @@ class TestLossLowerBound:
             assert lb - f <= _BOUND_MARGIN * scale
             errors.append(abs(lb - f) / f)
         assert max(errors) > 1e-9
+
+
+def test_seed_must_fit_a_philox_key(rng):
+    data = cloud(rng, 8, 3)
+    RunConfig(data, np.eye(3), StepSchedule.constant(0.1), 2, 2**64 - 1, 10)
+    with pytest.raises(ValueError, match="seed must be below 2\\^64"):
+        RunConfig(data, np.eye(3), StepSchedule.constant(0.1), 2, 2**64, 10)
+
+
+class TestStackedKernels:
+    # Runs advanced in lockstep stack one matrix per run; each must get the
+    # floats of its lone call, or a sweep cell would drift from `run`.
+    @pytest.mark.parametrize("m", [1, 2, 7, 300])
+    def test_root_pair_log_and_exp_match_lone_calls_bitwise(self, rng, m):
+        d = 5
+        xs = np.stack([random_spd(rng, d, cond=10.0 ** rng.uniform(0, 4)) for _ in range(m)])
+        ys = np.stack([manifold.exp_map(x, random_tangent(rng, d, 3.0)) for x in xs])
+        ts = np.stack([random_tangent(rng, d, 2.0) for _ in range(m)])
+        roots = manifold.sqrt_and_inv_sqrt(xs)
+        logs, exps = manifold._whitened_log(roots, ys), manifold._exp_map(roots, ts)
+        for i in range(m):
+            lone = manifold.sqrt_and_inv_sqrt(xs[i])
+            np.testing.assert_array_equal(roots[0][i], lone[0])
+            np.testing.assert_array_equal(roots[1][i], lone[1])
+            np.testing.assert_array_equal(logs[i], manifold._whitened_log(lone, ys[i]))
+            np.testing.assert_array_equal(exps[i], manifold._exp_map(lone, ts[i]))
+
+    def test_bounds_and_batch_gradients_match_lone_calls_bitwise(self, rng):
+        data = cloud(rng, 16, 3)
+        xs = [random_spd(rng, 3) for _ in range(6)]
+        ys = [manifold.exp_map(x, random_tangent(rng, 3, 2.0)) for x in xs]
+        anchors = [objective.objective_summary(x, data) for x in xs]
+        lone = [_loss_lower_bound(a, y) for a, y in zip(anchors, ys)]
+        for a in anchors:
+            a._release()  # keeps what the bound reads
+            assert a.eigenvectors is None and "whitened_logs" not in vars(a)
+        lb, scale = _loss_lower_bound(rsgd._stack_anchors(anchors), np.stack(ys))
+        assert list(zip(lb, scale)) == lone
+        assert _loss_lower_bound(anchors[0], ys[0]) == lone[0]
+        # Rows of several points split across stacked calls of 16 rows.
+        batches = [rng.integers(0, 16, size=b) for b in (1, 4, 19, 7, 2, 16)]
+        roots = [manifold.sqrt_and_inv_sqrt(y) for y in ys]
+        grads = objective._batch_gradients(roots, data.points, batches, 16)
+        for y, batch, g in zip(ys, batches, grads):
+            np.testing.assert_array_equal(g, objective.batch_gradient(y, data, batch))
