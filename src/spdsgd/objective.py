@@ -117,11 +117,7 @@ def _whitened_spectra(m: np.ndarray, points: np.ndarray) -> tuple[tuple, np.ndar
     """``(roots of m, eigenvectors, log spectra)`` of ``M^-1/2 A_i M^-1/2``."""
     roots = manifold.sqrt_and_inv_sqrt(m)
     w, v = eigen_stack(manifold._whiten(roots, points), positive=True)
-    # numpy's vectorized log gives an element the same float anywhere in a
-    # contiguous array, but takes the scalar log for a lone matrix's
-    # spectrum left as eigh's reversed view; the copy keeps a row's floats
-    # independent of the stack it was decomposed in.
-    return roots, v, np.log(np.ascontiguousarray(w))
+    return roots, v, np.log(w)
 
 
 def _batch_gradients(roots: list[manifold._Roots], points: np.ndarray, batches: list,
@@ -131,9 +127,8 @@ def _batch_gradients(roots: list[manifold._Roots], points: np.ndarray, batches: 
 
     The whitened rows of all points are decomposed together, at most ``cap``
     of them per stacked ``eigh``, in one buffer that then holds their logs.
-    numpy decomposes and composes each row on its own, and logs each
-    contiguous entry alike (see :func:`_whitened_spectra`), so a point's
-    gradient has the floats it has alone.
+    numpy decomposes, logs and composes each row on its own (see
+    :mod:`spdsgd.symmat`), so a point's gradient has the floats it has alone.
     """
     ends = np.cumsum([len(batch) for batch in batches])
     stack = np.empty((ends[-1], *points.shape[1:]))
@@ -141,7 +136,7 @@ def _batch_gradients(roots: list[manifold._Roots], points: np.ndarray, batches: 
         stack[hi - len(batch):hi] = manifold._whiten(r, points[batch])
     for lo in range(0, len(stack), cap):
         w, v = eigen_stack(stack[lo:lo + cap], positive=True)
-        stack[lo:lo + cap] = compose(v, np.log(np.ascontiguousarray(w)))
+        stack[lo:lo + cap] = compose(v, np.log(w))
     return [_gradient(r, logs) for r, logs in zip(roots, np.split(stack, ends[:-1]))]
 
 

@@ -254,26 +254,22 @@ def _loss_lower_bound(anchor: objective.ObjectiveSummary, y: np.ndarray) -> tupl
 
 
 def _stack(values: list):
-    """One value as is, or several stacked on a new leading axis (root pairs
-    item by item).  The stacked kernels of :func:`_descend` take either, and
-    a lone value gets exactly the one-trajectory computation."""
-    if len(values) == 1:
-        return values[0]
+    """The values stacked on a new leading axis, root pairs item by item
+    (``np.array``: ``np.stack``'s result at a quarter of its overhead).  One
+    value stacks like several: a stacked kernel gives each its lone floats."""
     if isinstance(values[0], tuple):
-        return tuple(np.stack(items) for items in zip(*values))
-    return np.stack(values)
+        return tuple(np.array(items) for items in zip(*values))
+    return np.array(values)
 
 
-def _unstack(value, n: int) -> list:
-    """The ``n`` values that :func:`_stack` stacked into ``value``."""
-    if n == 1:
-        return [value]
+def _unstack(value) -> list:
+    """The values that :func:`_stack` stacked into ``value``."""
     return list(zip(*value)) if isinstance(value, tuple) else list(value)
 
 
 def _stack_anchors(anchors: list[objective.ObjectiveSummary]):
-    """Anchors as :func:`_stack` stacks values: the fields that
-    :func:`_loss_lower_bound` reads, each stacked."""
+    """One anchor as is, or the fields of several that
+    :func:`_loss_lower_bound` reads, each stacked by :func:`_stack`."""
     if len(anchors) == 1:
         return anchors[0]
     return SimpleNamespace(**{name: _stack([getattr(a, name) for a in anchors])
@@ -366,16 +362,16 @@ def _descend(configs: list[RunConfig], observe=None) -> list:
     def bounds(brs: list[_Branch]) -> list:
         lb, scale = _loss_lower_bound(_stack_anchors([br.anchor for br in brs]),
                                       _stack([br.x for br in brs]))
-        return list(zip(np.atleast_1d(lb), np.atleast_1d(scale)))
+        return list(zip(lb, scale))
 
     def batch_gradients(brs: list[tuple[_Branch, np.ndarray]]) -> list:
-        roots = _unstack(manifold.sqrt_and_inv_sqrt(_stack([br.x for br, _ in brs])), len(brs))
+        roots = _unstack(manifold.sqrt_and_inv_sqrt(_stack([br.x for br, _ in brs])))
         batches = [batch for _, batch in brs]
         return list(zip(objective._batch_gradients(roots, data.points, batches, data.n), roots))
 
     def exp_maps(moves: list) -> list:
         roots, tangents = _stack([m[2] for m in moves]), _stack([m[3] for m in moves])
-        return _unstack(manifold._exp_map(roots, tangents), len(moves))
+        return _unstack(manifold._exp_map(roots, tangents))
 
     k = 0
     while branches:

@@ -11,6 +11,11 @@ eigenvalues.
 in this module, :mod:`spdsgd.manifold` and :mod:`spdsgd.objective` goes
 through it, and its :func:`_eigh` is the only call to ``np.linalg.eigh``.
 
+``_eigh`` hands out its eigenvalues C-contiguous, so an elementwise function
+of a spectrum gives each matrix the same floats alone, in a stack or in a
+chunk (numpy's ``exp`` and ``log`` take a scalar loop on a lone reversed
+view, which differs in the last ulp from the vector loop on contiguous data).
+
 ``_eigh`` splits a stack of at least 4096 matrices into contiguous row
 chunks of at least 2048, one per usable CPU, and decomposes them at once:
 the calling thread takes the first chunk and a module-level thread pool,
@@ -150,7 +155,7 @@ def _eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, v = _by_rows(lambda a: np.linalg.eigh(symmetrize(a)), s)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigensolver did not converge: {exc}") from exc
-    return w[..., ::-1], v[..., ::-1]
+    return np.ascontiguousarray(w[..., ::-1]), v[..., ::-1]
 
 
 def sym_eigen(s: np.ndarray) -> EigenDecomp:

@@ -79,6 +79,7 @@ def test_eigh_chunks_bitwise(rng, chunked, monkeypatch):
     assert [rows for tid, rows in calls if tid == threading.get_ident()] == [bounds[1]]
     for got, want in ((w, w0), (v, v0)):
         assert same_bits(got, want) and got.strides == want.strides
+    assert w.flags.c_contiguous and w0.flags.c_contiguous
 
 
 def test_short_stack_is_not_split(rng, chunked, monkeypatch):

@@ -232,5 +232,19 @@ def test_log_map_decomposes_the_base_once(rng, monkeypatch):
     assert shapes == [(3, 3), (3, 3)]  # P, then the whitened Q
 
 
+def test_stacked_operands_get_their_lone_floats(rng):
+    # Every row of a stacked operand takes the floats of its lone call, bit
+    # for bit: distance(p, q)[i] == distance(p, q[i]).
+    p = random_spd(rng, 5)
+    tangents = np.stack([random_tangent(rng, 5, 3.0) for _ in range(300)])
+    points = np.stack([exp_map(p, t) for t in tangents[::-1]])
+    differ = {}
+    for fn, operands in ((exp_map, tangents), (log_map, points), (distance, points)):
+        stacked = fn(p, operands)
+        differ[fn.__name__] = sum(np.asarray(fn(p, x)).tobytes() != stacked[i].tobytes()
+                                  for i, x in enumerate(operands))
+    assert differ == {"exp_map": 0, "log_map": 0, "distance": 0}
+
+
 def test_manifold_curvature_constant():
     assert SPD_CURVATURE_LOWER_BOUND == -0.5
