@@ -118,15 +118,26 @@ def batch_range(text: str) -> tuple[float, float]:
 
 
 @_flag_type
+def _positive(text: str) -> float:
+    """A finite number above 0: ``gen --spread``."""
+    if not 0 < (value := float(text)) < math.inf:
+        raise ValueError(f"expected a finite number above 0, got {text!r}")
+    return value
+
+
+@_flag_type
+def _nonnegative(text: str) -> float:
+    """A finite number of at least 0: ``descriptors --reg``."""
+    if not 0 <= (value := float(text)) < math.inf:
+        raise ValueError(f"expected a finite number of at least 0, got {text!r}")
+    return value
+
+
+@_flag_type
 def center_spec(text: str) -> str | float:
     """``identity``, a matrix-set file, or ``scale:X`` with finite ``X > 0``,
     given as X; the file is read, and checked against ``--d``, by ``gen``."""
-    if not text.startswith("scale:"):
-        return text
-    scale = float(text[len("scale:"):])
-    if not 0 < scale < math.inf:
-        raise ValueError(f"expected scale:X with finite X > 0, got {text!r}")
-    return scale
+    return _positive(text[len("scale:"):]) if text.startswith("scale:") else text
 
 
 class _Repeatable(argparse.Action):
@@ -196,8 +207,6 @@ def _center_matrix(center: str | float, dim: int):
 def cmd_gen(args, parser) -> int:
     if args.n < 1 or args.d < 1:
         parser.error("--n and --d must be positive")
-    if args.spread <= 0:
-        parser.error("--spread must be positive")
     if args.seed < 0:
         parser.error("--seed must be nonnegative")
     if args.seed >= rsgd._SEED_LIMIT:
@@ -471,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="synthesize an SPD matrix set")
     p.add_argument("--n", type=int, default=256, help="number of matrices (default %(default)s)")
     p.add_argument("--d", type=int, default=5, help="matrix dimension (default %(default)s)")
-    p.add_argument("--spread", type=float, default=0.5,
+    p.add_argument("--spread", type=_positive, default=0.5,
                    help="tangent noise scale (default %(default)s)")
     p.add_argument("--center", type=center_spec, default="identity",
                    help="'identity', 'scale:X', or a matrix-set file with one matrix "
@@ -485,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pgm", required=True)
     p.add_argument("--grid", type=int, default=4,
                    help="cell side in pixels, at least 2 (default %(default)s)")
-    p.add_argument("--reg", type=float, default=None,
+    p.add_argument("--reg", type=_nonnegative, default=None,
                    help="ridge added to each descriptor (default: scale-aware)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_descriptors, parser=p)

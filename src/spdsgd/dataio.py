@@ -57,8 +57,8 @@ def generate_synthetic(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if not spread > 0:
-        raise ValueError("spread must be positive")
+    if not 0 < spread < np.inf:
+        raise ValueError(f"spread must be finite and positive, got {spread}")
     center = manifold.validate_spd(center, name="center")
     if center.shape != (dim, dim):
         raise ValueError(f"center shape {center.shape} does not match dim {dim}")
@@ -110,6 +110,8 @@ def read_pgm(path) -> np.ndarray:
     (width, height, maxval), pos = _pgm_tokens(blob, 2, 3)
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}, expected 255", pos)
+    if width < 1 or height < 1:
+        raise FormatError(f"image is {width}x{height}, expected at least 1x1", pos)
     if pos >= len(blob) or not blob[pos : pos + 1].isspace():
         raise FormatError("missing whitespace after maxval", pos)
     pos += 1
@@ -187,8 +189,8 @@ def covariance_descriptors(
         raise ValueError(f"cell size {cell} does not divide image {w}x{h}")
     if regularization is None:
         regularization = default_regularization(img)
-    if regularization < 0:
-        raise ValueError("regularization must be nonnegative")
+    if not 0 <= regularization < np.inf:
+        raise ValueError(f"regularization must be finite and nonnegative, got {regularization}")
 
     feats = pixel_features(img)
     # (rows of cells, cell, cols of cells, cell, 5) -> (cells, pixels-per-cell, 5)

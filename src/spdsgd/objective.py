@@ -14,9 +14,9 @@ Everything funnels through one whitened eigendecomposition of the stack
 the loss, the full gradient, its norm, and the per-sample gradient variance
 at the same point costs a single stacked ``eigh`` once ``M`` is decomposed
 into its roots ``(M^{1/2}, M^{-1/2})``, which a summary keeps for the
-optimizer's update.  The loss needs only the log spectra; log matrices are
-composed only for the rows a caller reads.  A :class:`Dataset` is validated
-once, by one stacked check on construction.
+optimizer's update.  The loss needs only the log spectra; the log matrices
+are composed, all at once, when a caller first reads one.  A
+:class:`Dataset` is validated once, by one stacked check on construction.
 """
 
 from __future__ import annotations
@@ -69,11 +69,10 @@ class ObjectiveSummary:
     as its eigenvectors and log spectra; the loss ``value`` is the mean of
     ``||log w_i||^2``.  ``whitened_logs[i] = V_i diag(log w_i) V_i^T`` (the
     whitened full gradient is ``-2`` times its mean), ``grad_norm``,
-    ``sigma2`` and the full ``gradient`` are computed once, on first read;
-    until then a batch gradient composes only its own rows.  Metric norms of
-    tangents at ``M`` equal Frobenius norms of their whitened forms.
-    ``roots`` is the pair ``(M^{1/2}, M^{-1/2})`` that the manifold
-    internals take.  :meth:`_release` drops the per-matrix stacks.
+    ``sigma2`` and the full ``gradient`` are computed once, on first read.
+    Metric norms of tangents at ``M`` equal Frobenius norms of their whitened
+    forms.  ``roots`` is the pair ``(M^{1/2}, M^{-1/2})`` that the manifold
+    internals take.
     """
 
     value: float
@@ -102,15 +101,6 @@ class ObjectiveSummary:
     def gradient(self) -> np.ndarray:
         """The full Riemannian gradient at ``M``."""
         return manifold._unwhiten(self.roots, -2.0 * self._mean_log)
-
-    def _release(self) -> None:
-        """Keep only ``value``, ``roots``, ``_mean_log``, ``sigma2`` and what
-        derives from them, which is what a loss bound at a later iterate
-        reads; a batch gradient can no longer be taken from this summary."""
-        self.sigma2  # noqa: B018  (computed, with _mean_log, while the stack is here)
-        vars(self).pop("whitened_logs", None)
-        object.__setattr__(self, "eigenvectors", None)
-        object.__setattr__(self, "log_spectra", None)
 
 
 def _whitened_spectra(m: np.ndarray, points: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
@@ -221,12 +211,8 @@ def max_gradient_norm(trace) -> float:
 
 def objective_summary(m: np.ndarray, data: Dataset) -> ObjectiveSummary:
     """Loss at ``m`` from one stacked eigendecomposition, and the means to
-    read the gradient norm and single-sample variance off the same one.
-
-    The eigenvectors and log spectra are retained so callers can form
-    mini-batch gradients by averaging a subset (see
-    :func:`batch_gradient_from_summary`) without a second eigendecomposition.
-    """
+    read the gradient norm, the single-sample variance and mini-batch
+    gradients (:func:`batch_gradient_from_summary`) off the same one."""
     roots, v, lw = _whitened_spectra(_check_base(m, data), data.points)
     value = float(np.mean(np.einsum("nk,nk->n", lw, lw)))
     return ObjectiveSummary(value=value, eigenvectors=v, log_spectra=lw, roots=roots)
@@ -236,16 +222,10 @@ def batch_gradient_from_summary(summary: ObjectiveSummary, batch: np.ndarray) ->
     """Mini-batch gradient reusing a precomputed :class:`ObjectiveSummary`.
 
     Bit-identical to :func:`batch_gradient` at the same point: the stacked
-    eigendecomposition and the composition are computed per matrix, so
-    selecting rows before or after decomposing or composing yields the same
-    floats.  Rows come from the composed stack once a full-stack quantity has
-    been read, and are composed alone until then.
+    eigendecomposition and the composition are computed per matrix, so rows
+    of the composed ``whitened_logs`` have the floats of rows composed alone.
     """
-    batch = np.asarray(batch)
-    if "whitened_logs" in vars(summary):  # composed already
-        return _gradient(summary.roots, summary.whitened_logs[batch])
-    v, lw = summary.eigenvectors[batch], summary.log_spectra[batch]
-    return _gradient(summary.roots, compose(v, lw))
+    return _gradient(summary.roots, summary.whitened_logs[np.asarray(batch)])
 
 
 @dataclass(frozen=True)

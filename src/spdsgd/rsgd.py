@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -233,8 +232,14 @@ def rsgd_step(
 _BOUND_MARGIN = 1e-9  # relative slack on a threshold and on the bound's terms
 
 
-def _loss_lower_bound(anchor: objective.ObjectiveSummary, y: np.ndarray) -> tuple[float, float]:
-    """``(lb, scale)``: ``lb <= f(y)`` from the evaluated ``anchor`` at ``x_a``.
+def _anchor(summary: objective.ObjectiveSummary) -> tuple:
+    """What :func:`_loss_lower_bound` reads of an evaluated iterate ``x_a``:
+    ``(f, root pair, mean whitened log m_a, sigma2)``."""
+    return summary.value, summary.roots, summary._mean_log, summary.sigma2
+
+
+def _loss_lower_bound(anchor: tuple, y: np.ndarray) -> tuple[float, float]:
+    """``(lb, scale)``: ``lb <= f(y)`` from the :func:`_anchor` of ``x_a``.
 
     ``Log_{x_a}`` does not expand distances on the SPD cone (a Hadamard
     manifold), so with whitened logs ``L_y`` of ``y`` and ``L_i`` of the data
@@ -244,36 +249,29 @@ def _loss_lower_bound(anchor: objective.ObjectiveSummary, y: np.ndarray) -> tupl
     ``y`` and a lone data point lie on one geodesic.  ``scale = f(x_a) +
     d(x_a, y)^2`` bounds the size of the terms whose difference ``lb`` takes,
     and so its rounding.  One decomposition of the whitened ``y``.  With
-    anchors stacked by :func:`_stack_anchors` and ``y`` a stack of as many
-    points, ``lb`` and ``scale`` are arrays of the lone values.
+    anchors stacked by :func:`_stack` and ``y`` a stack of as many points,
+    ``lb`` and ``scale`` are arrays of the lone values.
     """
-    l_y = manifold._whitened_log(anchor.roots, y)
-    gap = l_y - anchor._mean_log
-    lb = anchor.sigma2 / 4.0 + np.einsum("...ij,...ij->...", gap, gap)
-    return lb, anchor.value + np.einsum("...ij,...ij->...", l_y, l_y)
+    value, roots, mean_log, sigma2 = anchor
+    l_y = manifold._whitened_log(roots, y)
+    gap = l_y - mean_log
+    lb = sigma2 / 4.0 + np.einsum("...ij,...ij->...", gap, gap)
+    return lb, value + np.einsum("...ij,...ij->...", l_y, l_y)
 
 
 def _stack(values: list):
-    """The values stacked on a new leading axis, root pairs item by item
+    """The values stacked on a new leading axis, tuples item by item, so
+    that a stack of root pairs or anchors is a root pair or anchor of stacks
     (``np.array``: ``np.stack``'s result at a quarter of its overhead).  One
     value stacks like several: a stacked kernel gives each its lone floats."""
     if isinstance(values[0], tuple):
-        return tuple(np.array(items) for items in zip(*values))
+        return tuple(_stack(items) for items in zip(*values))
     return np.array(values)
 
 
 def _unstack(value) -> list:
     """The values that :func:`_stack` stacked into ``value``."""
     return list(zip(*value)) if isinstance(value, tuple) else list(value)
-
-
-def _stack_anchors(anchors: list[objective.ObjectiveSummary]):
-    """One anchor as is, or the fields of several that
-    :func:`_loss_lower_bound` reads, each stacked by :func:`_stack`."""
-    if len(anchors) == 1:
-        return anchors[0]
-    return SimpleNamespace(**{name: _stack([getattr(a, name) for a in anchors])
-                              for name in ("value", "roots", "_mean_log", "sigma2")})
 
 
 def _each(kernel, items: list) -> list:
@@ -302,7 +300,7 @@ class _Branch:
 
     Members share the dataset, ``x0``, batch size, seed, thresholds and step
     budget, so they draw the same batches; they part where their step sizes
-    differ.  ``anchor`` is the summary of the last evaluated iterate.
+    differ.  ``anchor`` is the :func:`_anchor` of the last evaluated iterate.
     """
 
     members: list[int]
@@ -310,7 +308,7 @@ class _Branch:
     x: np.ndarray
     eps_left: list[float]
     hits: dict[float, int | None]
-    anchor: objective.ObjectiveSummary | None = None
+    anchor: tuple | None = None
 
 
 def _descend(configs: list[RunConfig], observe=None) -> list:
@@ -330,15 +328,15 @@ def _descend(configs: list[RunConfig], observe=None) -> list:
     gradient is bit-identical to a full evaluation's.
 
     Runs that differ only in their schedule share one state (a branch) while
-    their step sizes are equal floats, and iterates at equal points, such as
-    a shared ``x0``, are evaluated once per step.  Each step makes one
-    stacked ``eigh`` per kernel over all branches: the bounds, the root pairs
-    and the batch rows (at most ``N`` rows a call) of the skipped iterates,
-    and the exponential maps.  Full evaluations stay per branch.  A stacked
-    kernel that fails is retried branch by branch, so that a failure stops
-    only its own runs, with the message and step a lone run reports.  Once
-    its batch gradient is taken, an anchor keeps only what the bound reads,
-    and a stopped run's branch and summary are dropped.
+    their step sizes are equal floats, and consecutive branches at equal
+    points, such as all branches at a shared ``x0``, are evaluated once.
+    Each step makes one stacked ``eigh`` per kernel over all branches: the
+    bounds, the root pairs and the batch rows (at most ``N`` rows a call) of
+    the skipped iterates, and the exponential maps.  Full evaluations stay
+    per branch.  A stacked kernel that fails is retried branch by branch, so
+    that a failure stops only its own runs, with the message and step a lone
+    run reports.  An evaluated branch keeps only its :func:`_anchor`: the
+    summary goes once the batch gradient is taken from it.
     """
     data = configs[0].data
     if any(c.data is not data for c in configs):
@@ -360,7 +358,7 @@ def _descend(configs: list[RunConfig], observe=None) -> list:
             outcomes[i] = outcome
 
     def bounds(brs: list[_Branch]) -> list:
-        lb, scale = _loss_lower_bound(_stack_anchors([br.anchor for br in brs]),
+        lb, scale = _loss_lower_bound(_stack([br.anchor for br in brs]),
                                       _stack([br.x for br in brs]))
         return list(zip(lb, scale))
 
@@ -386,48 +384,38 @@ def _descend(configs: list[RunConfig], observe=None) -> list:
             if lb >= br.eps_left[0] * (1.0 + _BOUND_MARGIN) + _BOUND_MARGIN * scale:
                 skip.add(id(br))
 
-        # Evaluate the others; a run stops at its last iterate or its last hit.
-        evaluated: dict[bytes, objective.ObjectiveSummary] = {}
-        stepping, skipped = [], []
+        # Evaluate the others; a run stops at its last iterate or its last hit,
+        # and otherwise takes its batch gradient from the summary.
+        def batch(br: _Branch) -> np.ndarray:
+            return objective.sample_batch(step_rng(br.config.seed, k), data.n,
+                                          br.config.batch_size)
+
+        last = (None, None)  # the point evaluated last, and its summary
+        grads, skipped = [], []
         for br in branches:
             if id(br) in skip:
                 skipped.append(br)
                 continue
             point = br.x.tobytes()
             try:
-                if point not in evaluated:
-                    evaluated[point] = objective.objective_summary(br.x, data)
-                summary = evaluated[point]
+                if point != last[0]:
+                    last = (point, objective.objective_summary(br.x, data))
+                summary = last[1]
                 if observe is not None:
                     observe(summary)
             except _STEP_FAILURES as exc:
                 stop(br, _failure("objective evaluation", k, br.x, exc))
                 continue
-            br.anchor = summary
             for e in list(br.eps_left):
                 if summary.value < e:
                     br.hits[e] = k
                     br.eps_left.remove(e)
             if (br.config.epsilons and not br.eps_left) or k >= br.config.max_steps:
                 stop(br, (br.hits, summary.value, br.x, k, time.perf_counter() - t_start))
-            else:
-                stepping.append(br)
-
-        # Batch gradients: from the summary, or from the batch rows alone.
-        def batch(br: _Branch) -> np.ndarray:
-            return objective.sample_batch(step_rng(br.config.seed, k), data.n,
-                                          br.config.batch_size)
-
-        grads = []
-        for br in stepping:
-            try:
-                g = objective.batch_gradient_from_summary(br.anchor, batch(br))
-                grads.append((br, (g, br.anchor.roots)))
-            except _STEP_FAILURES as exc:
-                grads.append((br, exc))
-        evaluated.clear()  # stopped runs' summaries go before the batch rows come
-        for br in stepping:
-            br.anchor._release()
+                continue
+            br.anchor = _anchor(summary)
+            g = objective.batch_gradient_from_summary(summary, batch(br))
+            grads.append((br, (g, summary.roots)))
         grads += zip(skipped, _each(batch_gradients, [(br, batch(br)) for br in skipped]))
 
         # One exponential map per branch and distinct step size.

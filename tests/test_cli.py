@@ -35,6 +35,12 @@ def test_help_exits_zero(command, capsys):
         (["gen", "--center", "scale:abc"], "--center"),
         (["gen", "--center", "scale:0"], "--center"),
         (["gen", "--center", "scale:nan"], "--center"),
+        (["gen", "--spread", "nan"], "--spread"),
+        (["gen", "--spread", "inf"], "--spread"),
+        (["gen", "--spread", "0"], "--spread"),
+        (["descriptors", "--pgm", "x.pgm", "--reg", "nan"], "--reg"),
+        (["descriptors", "--pgm", "x.pgm", "--reg", "inf"], "--reg"),
+        (["descriptors", "--pgm", "x.pgm", "--reg", "-1"], "--reg"),
         (["fit", "--sweep-csv", "x.csv", "--schedule", "constant", "--epsilon", "0.5",
           "--sigma2", "1", "--G", "1", "--b-range", "16"], "--b-range"),
         (["fit", "--sweep-csv", "x.csv", "--schedule", "constant", "--epsilon", "0.5",
@@ -42,6 +48,7 @@ def test_help_exits_zero(command, capsys):
     ],
     ids=["seeds", "epsilons", "epsilons-non-finite", "epsilons-nan", "epsilons-empty",
          "epsilons-negative", "center-not-a-number", "center-zero", "center-nan",
+         "spread-nan", "spread-inf", "spread-zero", "reg-nan", "reg-inf", "reg-negative",
          "b-range-single", "b-range-reversed"],
 )
 def test_bad_flag_text_is_usage_error(tmp_path, capsys, argv, flag):

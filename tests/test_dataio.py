@@ -55,6 +55,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(rng, 4, 2, np.eye(3), 0.5)
 
+    @pytest.mark.parametrize("spread", [np.nan, np.inf])
+    def test_non_finite_spread(self, rng, spread):
+        with pytest.raises(ValueError, match="spread must be finite"):
+            generate_synthetic(rng, 4, 3, np.eye(3), spread)
+
 
 class TestPgm:
     def test_reads_known_bytes(self, tmp_path):
@@ -84,6 +89,13 @@ class TestPgm:
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2, 3]))
         with pytest.raises(FormatError, match="expected 4 bytes, found 3"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("size", ["0 0", "0 3", "3 0"])
+    def test_empty_image(self, tmp_path, size):
+        path = tmp_path / "e.pgm"
+        path.write_bytes(b"P5\n" + size.encode() + b"\n255\n")
+        with pytest.raises(FormatError, match="expected at least 1x1"):
             read_pgm(path)
 
     def test_roundtrip(self, tmp_path, rng):
@@ -140,6 +152,11 @@ class TestDescriptors:
             covariance_descriptors(np.zeros((8, 10)), 4)
         with pytest.raises(ValueError, match="below 2"):
             covariance_descriptors(np.zeros((8, 8)), 1)
+
+    @pytest.mark.parametrize("reg", [np.nan, np.inf, -1.0])
+    def test_ridge_must_be_finite_and_nonnegative(self, reg):
+        with pytest.raises(ValueError, match="regularization must be finite and nonnegative"):
+            covariance_descriptors(np.zeros((8, 8)), 4, regularization=reg)
 
     def test_translation_consistency(self, rng):
         # A texture with the cell period is invariant under a one-cell

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -234,6 +235,22 @@ class TestLockstep:
         points, _ = count_calls(monkeypatch)
         sweep(config)
         assert sum(np.array_equal(p, config.x0) for p in points) == 1
+
+    def test_at_most_one_earlier_summary_is_alive(self, rng, monkeypatch):
+        # An evaluated branch keeps its anchor's four values, not the summary
+        # with its per-matrix stacks, once its batch gradient is taken.
+        built, alive = [], []
+        summary = objective.objective_summary
+
+        def recorded(m, data):
+            alive.append(sum(ref() is not None for ref in built))
+            s = summary(m, data)
+            built.append(weakref.ref(s))
+            return s
+
+        monkeypatch.setattr(objective, "objective_summary", recorded)
+        sweep(lockstep_config(rng))
+        assert len(built) > 50 and max(alive) <= 1
 
     def test_eigh_calls_do_not_grow_with_seeds(self, rng, monkeypatch):
         # Every cell is censored, so every run takes all 30 steps; the rows
