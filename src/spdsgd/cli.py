@@ -8,9 +8,10 @@ Subcommands::
     spdsgd sweep        batch-size grid -> one CSV row per cell
     spdsgd fit          fit a K(b) model to a sweep CSV, locate b*
 
-Exit codes: 0 success, 1 runtime or data error, 2 usage error.  All
-randomness flows from ``--seed``; numbers are printed with 17 significant
-digits and a ``.`` decimal separator regardless of locale.
+Exit codes: 0 success, 1 runtime or data error (an unwritable ``--out``,
+found before any input is read), 2 usage error.  All randomness flows from
+``--seed``; numbers are printed with 17 significant digits and a ``.``
+decimal separator regardless of locale.
 
 Each flag's default lives in its ``add_argument``, and each list flag is
 parsed by its argparse ``type``, so bad flag text is a usage error.  For
@@ -28,6 +29,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -47,6 +49,18 @@ def _write_csv(path: str, rows) -> None:
     """Write every CSV output, with standard quoting: a staircase label holds commas."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _check_out(path: str) -> None:
+    """Fail before any work unless ``path`` names a file that can be written
+    in an existing directory.  Nothing is created or truncated here."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(parent):
+        raise OSError(f"cannot write {path}: directory {parent} does not exist")
+    if not os.access(parent, os.W_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise OSError(f"cannot write {path}: permission denied")
 
 
 def _fmt(x) -> str:
@@ -559,6 +573,8 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             _set_config_defaults(args.parser, args.config)
             args = parser.parse_args(argv)  # again: explicit flags win over the file
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args, args.parser)
     except (
         FormatError,

@@ -217,12 +217,10 @@ def covariance_descriptors(
 def write_matrix_set(path, data: Dataset) -> None:
     """Write a dataset in the plain-text matrix-set format (17 significant
     digits, lossless for float64)."""
-    lines = [f"{data.dim} {data.n}"]
-    for a in data.points:
-        for row in a:
-            lines.append(" ".join(format(x, ".17g") for x in row))
+    row = " ".join(["%.17g"] * data.dim) + "\n"
+    body = (row * (data.n * data.dim)) % tuple(data.points.ravel().tolist())
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{data.dim} {data.n}\n{body}")
 
 
 def read_matrix_set(path) -> Dataset:

@@ -62,8 +62,8 @@ def sqrt_and_inv_sqrt(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _whiten(roots: _Roots, q: np.ndarray) -> np.ndarray:
-    """``P^{-1/2} Q P^{-1/2}``, left unsymmetrized: :func:`spectral`
-    symmetrizes its input, and the Frobenius products take it as is."""
+    """``P^{-1/2} Q P^{-1/2}``, left unsymmetrized: ``eigh`` reads its lower
+    triangle, and the Frobenius products take it as is."""
     _, inv_half = roots
     return inv_half @ q @ inv_half
 

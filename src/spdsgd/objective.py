@@ -14,8 +14,8 @@ Everything funnels through one whitened eigendecomposition of the stack
 the loss, the full gradient, its norm, and the per-sample gradient variance
 at the same point costs a single stacked ``eigh`` once ``M`` is decomposed
 into its roots ``(M^{1/2}, M^{-1/2})``, which a summary keeps for the
-optimizer's update.  The loss needs only the log spectra; the log matrices
-are composed, all at once, when a caller first reads one.  A
+optimizer's update.  The rest is O(N d) work: the mean whitened log is one
+matrix product (:func:`_mean_whitened_log`), the variance an identity.  A
 :class:`Dataset` is validated once, by one stacked check on construction.
 """
 
@@ -67,12 +67,12 @@ class ObjectiveSummary:
 
     The whitened stack ``M^{-1/2} A_i M^{-1/2} = V_i diag(w_i) V_i^T`` is kept
     as its eigenvectors and log spectra; the loss ``value`` is the mean of
-    ``||log w_i||^2``.  ``whitened_logs[i] = V_i diag(log w_i) V_i^T`` (the
-    whitened full gradient is ``-2`` times its mean), ``grad_norm``,
-    ``sigma2`` and the full ``gradient`` are computed once, on first read.
-    Metric norms of tangents at ``M`` equal Frobenius norms of their whitened
-    forms.  ``roots`` is the pair ``(M^{1/2}, M^{-1/2})`` that the manifold
-    internals take.
+    ``||log w_i||^2``.  The mean ``m`` of ``L_i = V_i diag(log w_i) V_i^T``
+    (the whitened full gradient is ``-2 m``), ``grad_norm``, ``sigma2`` and
+    the full ``gradient`` are computed once, on first read, without composing
+    the ``L_i``; ``whitened_logs`` composes them.  Metric norms of tangents
+    at ``M`` equal Frobenius norms of their whitened forms.  ``roots`` is the
+    pair ``(M^{1/2}, M^{-1/2})`` that the manifold internals take.
     """
 
     value: float
@@ -86,7 +86,7 @@ class ObjectiveSummary:
 
     @cached_property
     def _mean_log(self) -> np.ndarray:
-        return self.whitened_logs.mean(axis=0)
+        return _mean_whitened_log(self.eigenvectors, self.log_spectra)
 
     @cached_property
     def grad_norm(self) -> float:
@@ -94,8 +94,16 @@ class ObjectiveSummary:
 
     @cached_property
     def sigma2(self) -> float:
-        centered = self.whitened_logs - self._mean_log
-        return float(4.0 * np.einsum("nij,nij->", centered, centered) / len(centered))
+        # (4/N) sum_i ||L_i - m||^2 by the identity 4 f - ||grad f||^2, set to 0
+        # within its rounding.  To first order in u = 2^-53, with ||m||^2 <= f:
+        # f is off by u (N + d + 1) f; ||dm||_F <= u (N d + 2) sqrt(d f) moves
+        # ||m||^2 by 2 sqrt(d) times that, and its sum, root and square add
+        # u (d^2 + 3) f; eigenvectors orthonormal to 2 d u move each ||L_i||^2
+        # by 4 d u of it.  Rounding down only lowers rsgd's loss bound.
+        n, d = self.log_spectra.shape
+        rounding = 2.0**-51 * self.value * (n + d * d + 5 * d + 4 + 2 * np.sqrt(d) * (n * d + 2))
+        excess = 4.0 * self.value - self.grad_norm**2
+        return 0.0 if excess <= rounding else excess
 
     @cached_property
     def gradient(self) -> np.ndarray:
@@ -103,11 +111,12 @@ class ObjectiveSummary:
         return manifold._unwhiten(self.roots, -2.0 * self._mean_log)
 
 
-def _whitened_spectra(m: np.ndarray, points: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """``(roots of m, eigenvectors, log spectra)`` of ``M^-1/2 A_i M^-1/2``."""
-    roots = manifold.sqrt_and_inv_sqrt(m)
-    w, v = eigen_stack(manifold._whiten(roots, points), positive=True)
-    return roots, v, np.log(w)
+def _mean_whitened_log(v: np.ndarray, lw: np.ndarray) -> np.ndarray:
+    """``mean_i V_i diag(lw_i) V_i^T`` as ``U diag(lw) U^T / N``, ``U`` all ``N d``
+    eigenvectors as columns: the one mean of whitened logs, so equal rows give equal floats."""
+    n, d = lw.shape
+    u = v.transpose(1, 0, 2).reshape(d, n * d)
+    return (u * lw.reshape(-1)) @ u.T / n
 
 
 def _batch_gradients(roots: list[manifold._Roots], points: np.ndarray, batches: list,
@@ -116,23 +125,25 @@ def _batch_gradients(roots: list[manifold._Roots], points: np.ndarray, batches: 
     root pair is ``roots[i]``, for every ``i``.
 
     The whitened rows of all points are decomposed together, at most ``cap``
-    of them per stacked ``eigh``, in one buffer that then holds their logs.
-    numpy decomposes, logs and composes each row on its own (see
+    of them per stacked ``eigh``, in one buffer that then holds their
+    eigenvectors.  numpy decomposes and logs each row on its own (see
     :mod:`spdsgd.symmat`), so a point's gradient has the floats it has alone.
     """
     ends = np.cumsum([len(batch) for batch in batches])
     stack = np.empty((ends[-1], *points.shape[1:]))
+    log_spectra = np.empty(stack.shape[:-1])
     for r, batch, hi in zip(roots, batches, ends):
         stack[hi - len(batch):hi] = manifold._whiten(r, points[batch])
     for lo in range(0, len(stack), cap):
-        w, v = eigen_stack(stack[lo:lo + cap], positive=True)
-        stack[lo:lo + cap] = compose(v, np.log(w))
-    return [_gradient(r, logs) for r, logs in zip(roots, np.split(stack, ends[:-1]))]
+        w, stack[lo:lo + cap] = eigen_stack(stack[lo:lo + cap], positive=True)
+        log_spectra[lo:lo + cap] = np.log(w)
+    return [_gradient(r, v, lw) for r, v, lw in
+            zip(roots, np.split(stack, ends[:-1]), np.split(log_spectra, ends[:-1]))]
 
 
-def _gradient(roots: manifold._Roots, logs: np.ndarray) -> np.ndarray:
-    """Riemannian gradient ``-2 M^{1/2} mean(logs) M^{1/2}`` of the terms in ``logs``."""
-    return manifold._unwhiten(roots, -2.0 * logs.mean(axis=0))
+def _gradient(roots: manifold._Roots, v: np.ndarray, lw: np.ndarray) -> np.ndarray:
+    """Riemannian gradient of the terms with whitened eigenvectors ``v`` and log spectra ``lw``."""
+    return manifold._unwhiten(roots, -2.0 * _mean_whitened_log(v, lw))
 
 
 def _check_base(m: np.ndarray, data: Dataset) -> np.ndarray:
@@ -213,7 +224,9 @@ def objective_summary(m: np.ndarray, data: Dataset) -> ObjectiveSummary:
     """Loss at ``m`` from one stacked eigendecomposition, and the means to
     read the gradient norm, the single-sample variance and mini-batch
     gradients (:func:`batch_gradient_from_summary`) off the same one."""
-    roots, v, lw = _whitened_spectra(_check_base(m, data), data.points)
+    roots = manifold.sqrt_and_inv_sqrt(_check_base(m, data))
+    w, v = eigen_stack(manifold._whiten(roots, data.points), positive=True)
+    lw = np.log(w)
     value = float(np.mean(np.einsum("nk,nk->n", lw, lw)))
     return ObjectiveSummary(value=value, eigenvectors=v, log_spectra=lw, roots=roots)
 
@@ -222,10 +235,11 @@ def batch_gradient_from_summary(summary: ObjectiveSummary, batch: np.ndarray) ->
     """Mini-batch gradient reusing a precomputed :class:`ObjectiveSummary`.
 
     Bit-identical to :func:`batch_gradient` at the same point: the stacked
-    eigendecomposition and the composition are computed per matrix, so rows
-    of the composed ``whitened_logs`` have the floats of rows composed alone.
+    eigendecomposition is computed per matrix, so the batch's rows of the
+    summary's eigenvectors and log spectra are those of rows decomposed alone.
     """
-    return _gradient(summary.roots, summary.whitened_logs[np.asarray(batch)])
+    batch = np.asarray(batch)
+    return _gradient(summary.roots, summary.eigenvectors[batch], summary.log_spectra[batch])
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ eigenvalues.
 :func:`spectral` is the package's one spectral kernel: every matrix function
 in this module, :mod:`spdsgd.manifold` and :mod:`spdsgd.objective` goes
 through it, and its :func:`_eigh` is the only call to ``np.linalg.eigh``.
+``eigh`` reads the lower triangle of an input that callers have validated
+as symmetric, or built so up to rounding (a whitened ``P^-1/2 Q P^-1/2``).
 
 ``_eigh`` hands out its eigenvalues C-contiguous, so an elementwise function
 of a spectrum gives each matrix the same floats alone, in a stack or in a
@@ -75,8 +77,8 @@ def check_symmetric(a: np.ndarray, *, name: str = "matrix") -> np.ndarray:
 
     Returns the array as float64. Asymmetry beyond a small multiple of each
     matrix's own scale is an input error, and a stack's message names the
-    first offender; exact storage symmetry is not required because
-    downstream code symmetrizes.
+    first offender; exact storage symmetry is not required, because the
+    eigensolver reads one triangle.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -145,14 +147,15 @@ def _by_rows(fn: Callable[[np.ndarray], tuple], s: np.ndarray) -> tuple:
 
 
 def _eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigh of the symmetrized input, without sign normalization.
+    """Descending eigh, without sign normalization, of an input that callers
+    have validated as symmetric: ``eigh`` reads only its lower triangle.
 
     Large stacks are split over the worker pool (:func:`_by_rows`); the
     output is the serial call's, bit for bit.
     """
     s = np.asarray(s, dtype=np.float64)
     try:
-        w, v = _by_rows(lambda a: np.linalg.eigh(symmetrize(a)), s)
+        w, v = _by_rows(lambda a: np.linalg.eigh(a), s)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigensolver did not converge: {exc}") from exc
     return np.ascontiguousarray(w[..., ::-1]), v[..., ::-1]
@@ -179,12 +182,13 @@ def spectral(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The spectral kernel: ``V @ diag(f(w)) @ V.T`` for each ``f`` in ``fns``.
 
-    ``V diag(w) V.T`` is the descending eigendecomposition of the symmetrized
-    input, computed once for all ``fns``.  With ``positive``, every
-    eigenvalue must be strictly positive; the first offender is reported in
-    a :class:`DomainError`.  Returns ``(matrices, spectra)``: one matrix
-    ``V @ diag(f(w)) @ V.T`` and one spectrum ``f(w)`` per function.  The
-    input is not validated and the matrices are not symmetrized.
+    ``V diag(w) V.T`` is the descending eigendecomposition of the input,
+    computed once for all ``fns``; ``eigh`` reads its lower triangle and the
+    input is not validated, so callers pass one validated as symmetric.
+    With ``positive``, every eigenvalue must be strictly positive; the first
+    offender is reported in a :class:`DomainError`.  Returns ``(matrices,
+    spectra)``: one matrix ``V @ diag(f(w)) @ V.T`` and one spectrum
+    ``f(w)`` per function.  The matrices are not symmetrized.
     """
     w, v = eigen_stack(s, positive=positive)
     spectra = [f(w) for f in fns]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdsgd import cli, dataio
+from spdsgd import cli, dataio, experiment, rsgd
 from spdsgd.experiment import FitInputs, model_steps
 
 
@@ -97,6 +97,37 @@ def test_unallocatable_batch_is_runtime_error(tmp_path, capsys, argv):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["gen", "--n", "4", "--d", "2"], [(dataio, "generate_synthetic")]),
+        (["descriptors", "--pgm", "x.pgm"], [(dataio, "read_pgm")]),
+        (["run", "--data", "x.msf"], [(dataio, "read_matrix_set"), (rsgd, "run")]),
+        (["sweep", "--data", "x.msf"], [(dataio, "read_matrix_set"), (experiment, "sweep")]),
+        (["fit", "--sweep-csv", "x.csv", "--schedule", "constant", "--epsilon", "0.1",
+          "--sigma2", "1", "--G", "1"], [(cli, "_read_sweep_csv"), (experiment, "fit_model")]),
+    ],
+    ids=["gen", "descriptors", "run", "sweep", "fit"],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, argv, work, where):
+    def never(*args, **kwargs):
+        raise AssertionError("the command read or computed before checking --out")
+
+    for module, name in work:
+        monkeypatch.setattr(module, name, never)
+    out = tmp_path / "missing" / "o.csv" if where == "missing-directory" else tmp_path
+    assert invoke([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+def test_failed_command_leaves_existing_out_untouched(tmp_path):
+    out = tmp_path / "o.csv"
+    out.write_text("earlier output\n")
+    assert invoke(["run", "--data", str(tmp_path / "nope.msf"), "--out", str(out)]) == 1
+    assert out.read_text() == "earlier output\n"
 
 
 def make_data(tmp_path, n=12, d=3, spread=0.4, seed=3):

@@ -207,6 +207,27 @@ class TestMatrixSetFile:
         back = read_matrix_set(path)
         np.testing.assert_array_equal(back.points, data.points)
 
+    def test_bytes_match_per_value_format(self, tmp_path, rng):
+        # The whole file is one %-format call; its bytes are those of
+        # format(x, ".17g") per value, for every kind of float64 entry.
+        n, d = 40, 4
+        off = rng.standard_normal((n, d, d)) * 10.0 ** rng.uniform(-8, 8, (n, d, d))
+        kind = rng.integers(0, 5, (n, d, d))
+        off = np.select([kind == 0, kind == 1, kind == 2],
+                        [np.round(off), np.sign(off) * 1e-300, np.sign(off) * 5e-324], off)
+        off = np.triu(off, 1)
+        off = off + off.transpose(0, 2, 1)
+        diag = np.ceil(np.abs(off).sum(axis=2)) + rng.integers(1, 100, (n, d))
+        diag[0] = 1e308
+        off[0] = -np.triu(np.full((d, d), 1e306), 1) - np.tril(np.full((d, d), 1e306), -1)
+        data = Dataset(off + diag[:, :, None] * np.eye(d))
+        path = tmp_path / "set.msf"
+        write_matrix_set(path, data)
+        lines = [f"{d} {n}"] + [" ".join(format(x, ".17g") for x in row)
+                                for a in data.points for row in a]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+        np.testing.assert_array_equal(read_matrix_set(path).points, data.points)
+
     def test_comments_ignored(self, tmp_path):
         path = tmp_path / "c.msf"
         path.write_text("# header comment\n2 1\n# matrix follows\n2 0\n0 3\n")

@@ -17,6 +17,7 @@ from spdsgd.objective import (
     sample_batch,
     smoothness_ratio,
 )
+from spdsgd.symmat import compose
 
 from conftest import random_invertible, random_spd, random_tangent
 
@@ -180,6 +181,25 @@ class TestGradientVariance:
         data = Dataset(np.repeat(a[None], 5, axis=0))
         assert gradient_variance(random_spd(rng, 3), data) == pytest.approx(0.0, abs=1e-20)
 
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_exactly_zero_for_identical_points_at_any_seed(self, d):
+        # The identity 4f - ||grad f||^2 rounds to either sign; within its
+        # rounding bound it is exactly 0.
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            data = Dataset(np.repeat(random_spd(rng, d)[None], 1 + seed % 7, axis=0))
+            assert gradient_variance(random_spd(rng, d), data) == 0.0
+
+    @pytest.mark.parametrize("n, d", [(2, 3), (24, 3), (257, 5)])
+    def test_identity_matches_centred_form(self, rng, n, d):
+        for _ in range(5):
+            data = cloud(rng, n, d, spread=float(rng.uniform(0.05, 1.0)))
+            m = random_spd(rng, d)
+            dev = _whitened(m, -2.0 * manifold.log_map(m, data.points))
+            dev -= dev.mean(axis=0)
+            centred = np.einsum("nij,nij->", dev, dev) / n
+            assert gradient_variance(m, data) == pytest.approx(centred, rel=1e-12)
+
     def test_monte_carlo_single_draws(self):
         rng = np.random.default_rng(11)
         data = cloud(rng, 24, 3)
@@ -327,6 +347,15 @@ class TestObjectiveSummary:
         m = random_spd(rng, 3)
         summary = objective_summary(m, data)
         np.testing.assert_array_equal(summary.gradient, full_gradient(m, data))
+
+    @pytest.mark.parametrize("n", [1, 2, 257])
+    def test_mean_log_matches_composed_mean(self, rng, n):
+        # One matrix product over all eigenvectors in place of N compositions.
+        data = cloud(rng, n, 5, spread=0.8)
+        summary = objective_summary(random_spd(rng, 5), data)
+        want = compose(summary.eigenvectors, summary.log_spectra).mean(axis=0)
+        err = np.linalg.norm(summary._mean_log - want)
+        assert err <= 1e-14 * np.linalg.norm(want)
 
     def test_full_gradient_from_summary_bitwise(self, rng):
         data = cloud(rng, 16, 3)

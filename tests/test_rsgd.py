@@ -342,6 +342,23 @@ def test_run_decomposes_each_point_once(rng, monkeypatch, with_reference, per_st
     assert len(calls) == per_step * record.steps + (per_step - 1)
 
 
+def test_run_composes_no_more_rows_than_the_batch(rng, monkeypatch):
+    # A full evaluation reads the mean whitened log off the eigenvectors and
+    # log spectra; no N-row stack of log matrices is ever composed.
+    data = cloud(rng, 64, 3)
+    rows = []
+    compose = symmat.compose
+
+    def counted(v, fw):
+        rows.append(int(np.prod(np.shape(v)[:-2])))
+        return compose(v, fw)
+
+    monkeypatch.setattr(symmat, "compose", counted)
+    monkeypatch.setattr(objective, "compose", counted, raising=False)
+    record = run(RunConfig(data, np.eye(3), StepSchedule.constant(0.05), 4, 0, 20))
+    assert record.steps == 20 and rows and max(rows) <= 4
+
+
 def test_sigma2_reporting(rng):
     data = cloud(rng, 16, 3)
     config = RunConfig(data, np.eye(3), StepSchedule.constant(0.05), 4, 1, 20)
