@@ -18,12 +18,15 @@ of a spectrum gives each matrix the same floats alone, in a stack or in a
 chunk (numpy's ``exp`` and ``log`` take a scalar loop on a lone reversed
 view, which differs in the last ulp from the vector loop on contiguous data).
 
-``_eigh`` splits a stack of at least 4096 matrices into contiguous row
-chunks of at least 2048, one per usable CPU, and decomposes them at once:
-the calling thread takes the first chunk and a module-level thread pool,
-started on first use, the others.  numpy's ``eigh`` releases the GIL and
-decomposes each matrix on its own, so every float, every positivity report
-and every error is the serial call's.  Smaller stacks never start a thread.
+``_eigh`` decomposes a stack of at least 4096 matrices on one thread per
+2048 of them, up to one per usable CPU: the calling thread and a
+module-level thread pool, started on first use.  The stack is cut into
+contiguous pieces of at most 256 rows; each thread starts on a piece of its
+own and then takes the next unclaimed one, so a core that runs slower
+meanwhile decomposes fewer rows instead of holding the others up.  numpy's
+``eigh`` releases the GIL and decomposes each matrix on its own, so every
+float, every positivity report and every error is the serial call's.
+Smaller stacks never start a thread.
 """
 
 from __future__ import annotations
@@ -95,11 +98,15 @@ def check_symmetric(a: np.ndarray, *, name: str = "matrix") -> np.ndarray:
     return a
 
 
-# Fewest matrices a chunk of a split stack may hold: a stack under
-# 2 * _CHUNK_ROWS stays on the calling thread.  Splitting N = 256 stacks and
-# batches slowed the sweep workloads, and below 4096 matrices a split paid
-# only while the other cores were idle.
+# Matrices per thread of a split stack: a stack under 2 * _CHUNK_ROWS stays
+# on the calling thread.  Splitting N = 256 stacks and batches slowed the
+# sweep workloads, and below 4096 matrices a split paid only while the other
+# cores were idle.
 _CHUNK_ROWS = 2048
+# Most rows in one piece of a split stack.  On a shared 2-vCPU host, where
+# either core often ran at half speed for seconds, two threads decomposed
+# 4096 5 x 5 matrices in a median 10.5 ms as halves, 7 ms as 256-row pieces.
+_PIECE_ROWS = 256
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
@@ -122,27 +129,45 @@ def _executor() -> ThreadPoolExecutor:
 
 
 def _by_rows(fn: Callable[[np.ndarray], tuple], s: np.ndarray) -> tuple:
-    """``fn(s)``, split over contiguous row chunks of a large ``(n, d, d)`` stack.
+    """``fn(s)``, split over contiguous row pieces of a large ``(n, d, d)`` stack.
 
-    A stack of at least ``2 * _CHUNK_ROWS`` matrices is cut into one chunk
-    per usable CPU, none under ``_CHUNK_ROWS`` rows; the calling thread takes
-    chunk 0 and the pool the rest.  ``fn`` must treat each matrix on its own
-    and return a tuple of row-aligned arrays, which are concatenated in row
-    order, so the result equals ``fn(s)`` float for float.  An exception
-    (the first in row order) is raised only after every chunk has finished.
+    A stack of at least ``2 * _CHUNK_ROWS`` matrices is decomposed by one
+    thread per ``_CHUNK_ROWS`` rows, up to one per usable CPU, and cut into
+    as many pieces, or more so that none exceeds ``_PIECE_ROWS`` rows.
+    Thread ``k`` (the caller is 0, the pool the rest) takes piece ``k``,
+    then each takes the next unclaimed piece.  ``fn`` must treat each matrix
+    on its own and return a tuple of row-aligned arrays, which are
+    concatenated in row order, so the result equals ``fn(s)`` float for
+    float.  An exception (the first in row order) is raised only after every
+    piece has finished.
     """
     most = len(s) // _CHUNK_ROWS if s.ndim == 3 else 0
-    chunks = min(most, _usable_cpus()) if most >= 2 else 1
-    if chunks < 2:
+    threads = min(most, _usable_cpus()) if most >= 2 else 1
+    if threads < 2:
         return fn(s)
-    bounds = [len(s) * i // chunks for i in range(chunks + 1)]
+    pieces = max(threads, -(-len(s) // _PIECE_ROWS))
+    bounds = [len(s) * i // pieces for i in range(pieces + 1)]
+    parts: list = [None] * pieces
+    unclaimed, claim = iter(range(threads, pieces)), threading.Lock()
+
+    def work(i: int | None) -> None:
+        while i is not None:
+            try:
+                parts[i] = fn(s[bounds[i]:bounds[i + 1]])
+            except Exception as exc:
+                parts[i] = exc
+            with claim:
+                i = next(unclaimed, None)
+
     pool = _executor()
-    futures = [pool.submit(fn, s[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    futures = [pool.submit(work, k) for k in range(1, threads)]
     try:
-        first = fn(s[: bounds[1]])
+        work(0)
     finally:
         wait(futures)
-    parts = [first] + [f.result() for f in futures]
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
     return tuple(np.concatenate(rows) for rows in zip(*parts))
 
 

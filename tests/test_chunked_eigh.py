@@ -162,6 +162,20 @@ def test_worker_linalg_error_is_numerical_error_after_every_chunk(rng, chunked, 
     assert len(calls) == chunked - 1
 
 
+def test_free_thread_takes_the_unclaimed_pieces(rng, chunked, monkeypatch):
+    # Every pool thread is held up in its first piece, so the caller
+    # decomposes piece 0 and then every piece no thread has claimed.
+    monkeypatch.setattr(symmat, "_PIECE_ROWS", 4)
+    main = threading.get_ident()
+    s = spd_stack(rng, 40)
+    w0, v0 = serially(symmat._eigh, s)
+    calls = record_eigh(monkeypatch, lambda a: threading.get_ident() == main or time.sleep(0.2))
+    w, v = symmat._eigh(s)
+    assert same_bits(w, w0) and same_bits(v, v0)
+    assert sorted(rows for _, rows in calls) == [4] * 10
+    assert [rows for tid, rows in calls if tid == main] == [4] * (10 - chunked + 1)
+
+
 def test_concurrent_callers_share_one_pool(rng, chunked, monkeypatch):
     # More callers than cores, switching often: each gets the serial floats,
     # and the pool, created on first use behind a lock, is created once.
