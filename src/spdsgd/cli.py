@@ -54,6 +54,8 @@ def _write_csv(path: str, rows) -> None:
 def _check_out(path: str) -> None:
     """Fail before any work unless ``path`` names a file that can be written
     in an existing directory.  Nothing is created or truncated here."""
+    if not path:
+        raise OSError("cannot write an empty --out path")
     parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         raise OSError(f"cannot write {path}: it is a directory")

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy import optimize, stats
 
 from .objective import Dataset
 from .rsgd import RunConfig, RunError, StepSchedule, _SEED_LIMIT, _descend
@@ -250,6 +249,11 @@ def check_monotone_convex(
     check passes when the minimum second difference on the log-batch grid is
     at least ``-convexity_frac`` times the median of the series.
     """
+    # Imported here, not at module level: scipy.stats and scipy.optimize
+    # made up most of the time and memory of ``import spdsgd``, and only
+    # this check and fit_model use them.
+    from scipy import stats
+
     points = list(points)
     if len(points) < 3:
         raise ValueError("need at least 3 (batch, K) points")
@@ -415,6 +419,9 @@ def fit_model(kind: str, points, inputs: FitInputs) -> FitResult:
     coordinates), then polishes with a bounded simplex search that rejects
     any (C1, C2) violating the model's domain at an observed batch size.
     """
+    # Imported here, not at module level; see check_monotone_convex.
+    from scipy import optimize
+
     pts = sorted((float(b), float(k)) for b, k in points)
     if len(pts) < 2:
         raise ValueError("need at least 2 (batch, K) points to fit")

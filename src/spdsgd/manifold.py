@@ -36,13 +36,15 @@ def validate_spd(p: np.ndarray, *, name: str = "matrix") -> np.ndarray:
     """Check that ``p``, one matrix or a stack, is symmetric positive definite.
 
     One stacked ``eigvalsh`` checks every matrix; this is the package's only
-    call to ``np.linalg.eigvalsh``.  Returns the validated float64 array.
+    call to ``np.linalg.eigvalsh``.  It reads the lower triangle, which
+    differs from the symmetric part by no more than the asymmetry
+    :func:`check_symmetric` admits.  Returns the validated float64 array.
     Raises ``ValueError``; when positivity fails, a :class:`DomainError`
     carrying the minimum eigenvalue and the (flat) index of the first bad
     matrix, which a stack's message also names.
     """
     p = check_symmetric(p, name=name)
-    w = np.linalg.eigvalsh(symmetrize(p))[..., 0].ravel()
+    w = np.linalg.eigvalsh(p)[..., 0].ravel()
     bad = np.flatnonzero(~(w > 0.0))
     if bad.size:
         i = int(bad[0])
@@ -57,7 +59,7 @@ def validate_spd(p: np.ndarray, *, name: str = "matrix") -> np.ndarray:
 
 def sqrt_and_inv_sqrt(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both ``P^{1/2}`` and ``P^{-1/2}`` from a single eigendecomposition."""
-    (half, inv_half), _ = spectral(p, np.sqrt, lambda w: 1.0 / np.sqrt(w), positive=True)
+    half, inv_half = spectral(p, np.sqrt, lambda w: 1.0 / np.sqrt(w), positive=True)
     return symmetrize(half), symmetrize(inv_half)
 
 
@@ -128,13 +130,13 @@ def exp_map(p: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _exp_map(roots: _Roots, x: np.ndarray) -> np.ndarray:
-    (e,), _ = spectral(_whiten(roots, x), np.exp)
+    (e,) = spectral(_whiten(roots, x), np.exp)
     return _unwhiten(roots, e)
 
 
 def _whitened_log(roots: _Roots, q: np.ndarray) -> np.ndarray:
     """``log(P^{-1/2} Q P^{-1/2})``; the relative spectrum must be positive."""
-    (lw,), _ = spectral(_whiten(roots, q), np.log, positive=True)
+    (lw,) = spectral(_whiten(roots, q), np.log, positive=True)
     return lw
 
 
@@ -174,7 +176,7 @@ def parallel_transport(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarra
     q = validate_spd(q, name="Q")
     roots, x = _edge(p, X=x)
     half, inv_half = roots
-    (s_half,), _ = spectral(_whiten(roots, q), np.sqrt, positive=True)
+    (s_half,) = spectral(_whiten(roots, q), np.sqrt, positive=True)
     e = half @ s_half @ inv_half
     return symmetrize(e @ x @ np.swapaxes(e, -1, -2))
 

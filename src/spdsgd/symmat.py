@@ -15,18 +15,18 @@ as symmetric, or built so up to rounding (a whitened ``P^-1/2 Q P^-1/2``).
 
 ``_eigh`` hands out its eigenvalues C-contiguous, so an elementwise function
 of a spectrum gives each matrix the same floats alone, in a stack or in a
-chunk (numpy's ``exp`` and ``log`` take a scalar loop on a lone reversed
+piece (numpy's ``exp`` and ``log`` take a scalar loop on a lone reversed
 view, which differs in the last ulp from the vector loop on contiguous data).
 
-``_eigh`` decomposes a stack of at least 4096 matrices on one thread per
-2048 of them, up to one per usable CPU: the calling thread and a
-module-level thread pool, started on first use.  The stack is cut into
-contiguous pieces of at most 256 rows; each thread starts on a piece of its
-own and then takes the next unclaimed one, so a core that runs slower
-meanwhile decomposes fewer rows instead of holding the others up.  numpy's
-``eigh`` releases the GIL and decomposes each matrix on its own, so every
-float, every positivity report and every error is the serial call's.
-Smaller stacks never start a thread.
+``_eigh`` splits a stack of at least 4096 matrices into contiguous pieces
+of at most 256 rows and hands them to a module-level thread pool, started
+on first use with one thread per usable CPU; each free thread takes the
+next piece from the pool's queue, so a core that runs slower meanwhile
+decomposes fewer rows instead of holding the others up, and the calling
+thread waits.  numpy's ``eigh`` releases the GIL and decomposes each matrix
+on its own, so every float, every positivity report and every error is the
+serial call's.  Smaller stacks, and any stack on one CPU, never start a
+thread.
 """
 
 from __future__ import annotations
@@ -98,11 +98,10 @@ def check_symmetric(a: np.ndarray, *, name: str = "matrix") -> np.ndarray:
     return a
 
 
-# Matrices per thread of a split stack: a stack under 2 * _CHUNK_ROWS stays
-# on the calling thread.  Splitting N = 256 stacks and batches slowed the
-# sweep workloads, and below 4096 matrices a split paid only while the other
-# cores were idle.
-_CHUNK_ROWS = 2048
+# Fewest matrices in a stack that is split.  Splitting N = 256 stacks and
+# batches slowed the sweep workloads, and below 4096 matrices a split paid
+# only while the other cores were idle.
+_SPLIT_ROWS = 4096
 # Most rows in one piece of a split stack.  On a shared 2-vCPU host, where
 # either core often ran at half speed for seconds, two threads decomposed
 # 4096 5 x 5 matrices in a median 10.5 ms as halves, 7 ms as 256-row pieces.
@@ -119,11 +118,12 @@ def _usable_cpus() -> int:
 
 
 def _executor() -> ThreadPoolExecutor:
-    """The module's worker pool, created on first use; its tasks never submit to it."""
+    """The module's worker pool, created on first use with one thread per
+    usable CPU; its tasks never submit to it."""
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1),
+            _pool = ThreadPoolExecutor(max_workers=_usable_cpus(),
                                        thread_name_prefix="spdsgd-eigh")
         return _pool
 
@@ -131,44 +131,22 @@ def _executor() -> ThreadPoolExecutor:
 def _by_rows(fn: Callable[[np.ndarray], tuple], s: np.ndarray) -> tuple:
     """``fn(s)``, split over contiguous row pieces of a large ``(n, d, d)`` stack.
 
-    A stack of at least ``2 * _CHUNK_ROWS`` matrices is decomposed by one
-    thread per ``_CHUNK_ROWS`` rows, up to one per usable CPU, and cut into
-    as many pieces, or more so that none exceeds ``_PIECE_ROWS`` rows.
-    Thread ``k`` (the caller is 0, the pool the rest) takes piece ``k``,
-    then each takes the next unclaimed piece.  ``fn`` must treat each matrix
-    on its own and return a tuple of row-aligned arrays, which are
-    concatenated in row order, so the result equals ``fn(s)`` float for
-    float.  An exception (the first in row order) is raised only after every
-    piece has finished.
+    On more than one usable CPU, a stack of at least ``_SPLIT_ROWS``
+    matrices is cut into near-equal pieces of at most ``_PIECE_ROWS`` rows,
+    each submitted to the pool while the calling thread waits.  ``fn`` must
+    treat each matrix on its own and return a tuple of row-aligned arrays,
+    which are concatenated in row order, so the result equals ``fn(s)``
+    float for float.  An exception (the first in row order) is raised only
+    after every piece has finished.
     """
-    most = len(s) // _CHUNK_ROWS if s.ndim == 3 else 0
-    threads = min(most, _usable_cpus()) if most >= 2 else 1
-    if threads < 2:
+    if s.ndim != 3 or len(s) < _SPLIT_ROWS or _usable_cpus() < 2:
         return fn(s)
-    pieces = max(threads, -(-len(s) // _PIECE_ROWS))
+    pieces = -(-len(s) // _PIECE_ROWS)
     bounds = [len(s) * i // pieces for i in range(pieces + 1)]
-    parts: list = [None] * pieces
-    unclaimed, claim = iter(range(threads, pieces)), threading.Lock()
-
-    def work(i: int | None) -> None:
-        while i is not None:
-            try:
-                parts[i] = fn(s[bounds[i]:bounds[i + 1]])
-            except Exception as exc:
-                parts[i] = exc
-            with claim:
-                i = next(unclaimed, None)
-
     pool = _executor()
-    futures = [pool.submit(work, k) for k in range(1, threads)]
-    try:
-        work(0)
-    finally:
-        wait(futures)
-    for part in parts:
-        if isinstance(part, Exception):
-            raise part
-    return tuple(np.concatenate(rows) for rows in zip(*parts))
+    futures = [pool.submit(fn, s[a:b]) for a, b in zip(bounds, bounds[1:])]
+    wait(futures)
+    return tuple(np.concatenate(rows) for rows in zip(*(f.result() for f in futures)))
 
 
 def _eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,20 +182,18 @@ def sym_eigen(s: np.ndarray) -> EigenDecomp:
 
 def spectral(
     s: np.ndarray, *fns: Callable[[np.ndarray], np.ndarray], positive: bool = False
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> list[np.ndarray]:
     """The spectral kernel: ``V @ diag(f(w)) @ V.T`` for each ``f`` in ``fns``.
 
     ``V diag(w) V.T`` is the descending eigendecomposition of the input,
     computed once for all ``fns``; ``eigh`` reads its lower triangle and the
     input is not validated, so callers pass one validated as symmetric.
     With ``positive``, every eigenvalue must be strictly positive; the first
-    offender is reported in a :class:`DomainError`.  Returns ``(matrices,
-    spectra)``: one matrix ``V @ diag(f(w)) @ V.T`` and one spectrum
-    ``f(w)`` per function.  The matrices are not symmetrized.
+    offender is reported in a :class:`DomainError`.  Returns one matrix per
+    function, in order; the matrices are not symmetrized.
     """
     w, v = eigen_stack(s, positive=positive)
-    spectra = [f(w) for f in fns]
-    return [compose(v, fw) for fw in spectra], spectra
+    return [compose(v, f(w)) for f in fns]
 
 
 def eigen_stack(s: np.ndarray, *, positive: bool = False) -> tuple[np.ndarray, np.ndarray]:

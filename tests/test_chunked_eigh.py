@@ -1,8 +1,9 @@
-"""The row-chunked stacked eigendecomposition gives the serial call's floats,
+"""The row-split stacked eigendecomposition gives the serial call's floats,
 positivity reports and errors; a small stack starts no thread.
 
-The chunk floor is patched from 2048 down to 4 rows, so every stack of 8 or
-more matrices here is split, and ``_usable_cpus`` sets the number of chunks.
+The split threshold is patched from 4096 down to 8 rows and the piece size
+from 256 down to 5, so every stack of 8 or more matrices here is split into
+several pieces, and ``_usable_cpus`` sets the number of pool threads.
 """
 
 import sys
@@ -24,8 +25,10 @@ from conftest import random_spd
 
 @pytest.fixture(params=[2, 3])
 def chunked(request, monkeypatch):
-    """Split stacks of 8+ matrices into ``request.param`` chunks of 4+ rows."""
-    monkeypatch.setattr(symmat, "_CHUNK_ROWS", 4)
+    """Split stacks of 8+ matrices into pieces of at most 5 rows, over a pool
+    of ``request.param`` threads."""
+    monkeypatch.setattr(symmat, "_SPLIT_ROWS", 8)
+    monkeypatch.setattr(symmat, "_PIECE_ROWS", 5)
     monkeypatch.setattr(symmat, "_usable_cpus", lambda: request.param)
     monkeypatch.setattr(symmat, "_pool", None)
     yield request.param
@@ -36,7 +39,7 @@ def chunked(request, monkeypatch):
 def serially(fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` with every stack decomposed on the calling thread."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(symmat, "_CHUNK_ROWS", 10**9)
+        mp.setattr(symmat, "_SPLIT_ROWS", 10**9)
         return fn(*args, **kwargs)
 
 
@@ -74,9 +77,8 @@ def test_eigh_chunks_bitwise(rng, chunked, monkeypatch):
     w0, v0 = serially(symmat._eigh, s)
     calls = record_eigh(monkeypatch)
     w, v = symmat._eigh(s)
-    bounds = [17 * i // chunked for i in range(chunked + 1)]
-    assert sorted(rows for _, rows in calls) == sorted(np.diff(bounds))
-    assert [rows for tid, rows in calls if tid == threading.get_ident()] == [bounds[1]]
+    assert sorted(rows for _, rows in calls) == [4, 4, 4, 5]
+    assert threading.get_ident() not in [tid for tid, _ in calls]
     for got, want in ((w, w0), (v, v0)):
         assert same_bits(got, want) and got.strides == want.strides
     assert w.flags.c_contiguous and w0.flags.c_contiguous
@@ -143,37 +145,64 @@ def test_first_non_positive_eigenvalue_as_serial(rng, chunked, bad_rows):
 
 
 def test_worker_linalg_error_is_numerical_error_after_every_chunk(rng, chunked, monkeypatch):
-    # The last chunk, on a pool thread, fails at once; any other pool chunk
-    # is slowed so that it would still be running if the error were raised
-    # as soon as the caller's chunk is done.
-    main = threading.get_ident()
-    failing = 16 - 16 * (chunked - 1) // chunked  # rows of the last chunk
+    # Piece 0 fails at once; every other piece is slowed, so it would still
+    # be running if the error were raised as soon as it arrived.
+    s = spd_stack(rng, 16)
 
     def hook(a):
-        if threading.get_ident() == main:
-            return
-        if len(a) == failing:
+        if np.shares_memory(a, s[0]):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        time.sleep(0.2)
+        time.sleep(0.1)
 
     calls = record_eigh(monkeypatch, hook)
     with pytest.raises(symmat.NumericalError, match="did not converge"):
-        symmat._eigh(spd_stack(rng, 16))
-    assert len(calls) == chunked - 1
+        symmat._eigh(s)
+    assert [rows for _, rows in calls] == [4, 4, 4]
 
 
 def test_free_thread_takes_the_unclaimed_pieces(rng, chunked, monkeypatch):
-    # Every pool thread is held up in its first piece, so the caller
-    # decomposes piece 0 and then every piece no thread has claimed.
-    monkeypatch.setattr(symmat, "_PIECE_ROWS", 4)
-    main = threading.get_ident()
+    # The thread that takes piece 0 is held up in it, so the other pool
+    # threads decompose every later piece meanwhile.
     s = spd_stack(rng, 40)
     w0, v0 = serially(symmat._eigh, s)
-    calls = record_eigh(monkeypatch, lambda a: threading.get_ident() == main or time.sleep(0.2))
+    held = []
+
+    def hook(a):
+        if np.shares_memory(a, s[0]):
+            held.append(threading.get_ident())
+            time.sleep(0.3)
+
+    calls = record_eigh(monkeypatch, hook)
     w, v = symmat._eigh(s)
     assert same_bits(w, w0) and same_bits(v, v0)
-    assert sorted(rows for _, rows in calls) == [4] * 10
-    assert [rows for tid, rows in calls if tid == main] == [4] * (10 - chunked + 1)
+    assert sorted(rows for _, rows in calls) == [5] * 8
+    others = {tid for tid, _ in calls[:-1]}
+    assert calls[-1][0] == held[0] and held[0] not in others
+    assert threading.get_ident() not in others
+
+
+def test_pool_is_created_once_with_one_thread_per_usable_cpu(rng, chunked, monkeypatch):
+    sizes = []
+
+    class Counting(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            sizes.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(symmat, "ThreadPoolExecutor", Counting)
+    for n in (8, 40, 17):
+        symmat._eigh(spd_stack(rng, n))
+    assert sizes == [chunked]
+
+
+def test_one_cpu_starts_no_thread(rng, monkeypatch):
+    monkeypatch.setattr(symmat, "_SPLIT_ROWS", 8)
+    monkeypatch.setattr(symmat, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(symmat, "_pool", None)
+    calls = record_eigh(monkeypatch)
+    symmat._eigh(spd_stack(rng, 40))
+    assert [rows for _, rows in calls] == [40]
+    assert symmat._pool is None
 
 
 def test_concurrent_callers_share_one_pool(rng, chunked, monkeypatch):

@@ -99,7 +99,9 @@ def test_unallocatable_batch_is_runtime_error(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize(
+# Each command that takes --out, with the functions that read its input or
+# compute its result.
+out_commands = pytest.mark.parametrize(
     "argv, work",
     [
         (["gen", "--n", "4", "--d", "2"], [(dataio, "generate_synthetic")]),
@@ -111,16 +113,31 @@ def test_unallocatable_batch_is_runtime_error(tmp_path, capsys, argv):
     ],
     ids=["gen", "descriptors", "run", "sweep", "fit"],
 )
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
-def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, argv, work, where):
+
+
+def forbid(monkeypatch, work):
     def never(*args, **kwargs):
         raise AssertionError("the command read or computed before checking --out")
 
     for module, name in work:
         monkeypatch.setattr(module, name, never)
+
+
+@out_commands
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, argv, work, where):
+    forbid(monkeypatch, work)
     out = tmp_path / "missing" / "o.csv" if where == "missing-directory" else tmp_path
     assert invoke([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+@out_commands
+def test_empty_out_fails_before_any_work(capsys, monkeypatch, argv, work):
+    # abspath("") is the working directory, whose parent exists.
+    forbid(monkeypatch, work)
+    assert invoke([*argv, "--out", ""]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write an empty --out path")
 
 
 def test_failed_command_leaves_existing_out_untouched(tmp_path):

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -475,3 +478,20 @@ class TestCriticalBatch:
 
         fit = FitResult(kind="constant", c1=1.0, c2=1.0, inputs=inputs, residual_norm=0.0)
         assert closed_form_critical_batch(fit) is None
+
+
+def test_importing_spdsgd_loads_no_scipy_submodule():
+    # Only fit_model and check_monotone_convex use scipy, and they import it.
+    code = (
+        "import sys, spdsgd, spdsgd.cli\n"
+        "loaded = sorted({'scipy.optimize', 'scipy.stats'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+        "from spdsgd.experiment import FitInputs, fit_model, model_steps\n"
+        "inputs = FitInputs(sigma2=1.0, grad_bound=1.0, alpha=0.1, eps=0.5)\n"
+        "points = [(b, float(model_steps('constant', b, 2.0, 3.0, inputs))) for b in (1, 4, 16)]\n"
+        "fit = fit_model('constant', points, inputs)\n"
+        "assert abs(fit.c1 / 2.0 - 1) < 1e-6 and abs(fit.c2 / 3.0 - 1) < 1e-6, fit\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # the spdsgd under test
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr

@@ -223,6 +223,19 @@ def test_validate_spd_checks_a_stack_in_one_call(rng, monkeypatch):
     assert calls == [(4, 3, 3)]
 
 
+def test_validate_spd_makes_no_symmetrized_copy(rng, monkeypatch):
+    # eigvalsh reads one triangle of the input check_symmetric has validated.
+    def copy(*args):
+        raise AssertionError("validate_spd symmetrized its input")
+
+    monkeypatch.setattr(manifold, "symmetrize", copy)
+    stack = np.stack([random_spd(rng, 3) for _ in range(4)])
+    np.testing.assert_array_equal(validate_spd(stack), stack)
+    stack[1] = np.diag([1.0, -2.0, 3.0])
+    with pytest.raises(DomainError, match="at index 1 is not positive definite"):
+        validate_spd(stack)
+
+
 def test_log_map_decomposes_the_base_once(rng, monkeypatch):
     p, q = random_spd(rng, 3), random_spd(rng, 3)
     shapes = []

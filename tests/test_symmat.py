@@ -68,7 +68,7 @@ def test_eigen_rejects_asymmetric():
 
 def fn_of(s, fn, positive=False):
     """``fn`` applied to ``s`` through its spectrum: one :func:`spectral` matrix."""
-    (out,), _ = spectral(s, fn, positive=positive)
+    (out,) = spectral(s, fn, positive=positive)
     return out
 
 
