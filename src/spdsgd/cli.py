@@ -37,9 +37,9 @@ from numpy.random import Generator, Philox
 
 from . import dataio, experiment, rsgd
 from .dataio import DataError, FormatError
-from .experiment import FitDomainError, FitError, FitInputs
+from .experiment import FitError, FitInputs
 from .rsgd import ConvergenceError, RunError, StepSchedule
-from .symmat import sym_eigen
+from .symmat import NumericalError, sym_eigen
 
 
 _SWEEP_HEADER = ["schedule", "epsilon", "batch", "seed", "K", "censored", "sfo", "final_f", "wall_ms"]
@@ -579,15 +579,7 @@ def main(argv=None) -> int:
             _check_out(args.out)
         return args.func(args, args.parser)
     except (
-        FormatError,
-        DataError,
-        RunError,
-        ConvergenceError,
-        FitDomainError,
-        FitError,
-        OSError,
-        ValueError,
-        MemoryError,
+        RunError, ConvergenceError, FitError, NumericalError, OSError, ValueError, MemoryError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,10 @@ uses the derivative-consistent forms
     constant/staircase:  b* = 2 C1 sigma2 alpha / (eps - G^2 alpha C1)
     1/sqrt(k+1):         b* = 2 C1 sigma2 / (2 C1 G^2 + C2)
 
-and cross-checks them against a golden-section search on the fitted curve.
+and cross-checks them against SciPy's bounded scalar search on the fitted
+curve.  Because the curve is convex on the searched range, an end whose
+``K * b`` is no higher than at the search's point is the minimum, and the
+critical batch is reported as lying on the boundary.
 """
 
 from __future__ import annotations
@@ -226,7 +229,6 @@ def log_grid_second_differences(batches, values) -> np.ndarray:
 class ConvexityReport:
     spearman_steps: float
     min_second_diff_steps: float
-    spearman_sfo: float
     min_second_diff_sfo: float
     steps_nonincreasing: bool
     monotone_pass: bool
@@ -251,7 +253,7 @@ def check_monotone_convex(
     """
     # Imported here, not at module level: scipy.stats and scipy.optimize
     # made up most of the time and memory of ``import spdsgd``, and only
-    # this check and fit_model use them.
+    # this check, fit_model and critical_batch use them.
     from scipy import stats
 
     points = list(points)
@@ -268,7 +270,6 @@ def check_monotone_convex(
         rho_k = np.nan
     else:
         rho_k = float(stats.spearmanr(b, k).statistic)
-    rho_sfo = np.nan if np.all(sfo == sfo[0]) else float(stats.spearmanr(b, sfo).statistic)
 
     d2_k = log_grid_second_differences(b, k)
     d2_sfo = log_grid_second_differences(b, sfo)
@@ -281,7 +282,6 @@ def check_monotone_convex(
     return ConvexityReport(
         spearman_steps=rho_k,
         min_second_diff_steps=min_d2_k,
-        spearman_sfo=rho_sfo,
         min_second_diff_sfo=min_d2_sfo,
         steps_nonincreasing=nonincreasing,
         monotone_pass=monotone_pass,
@@ -444,17 +444,14 @@ def fit_model(kind: str, points, inputs: FitInputs) -> FitResult:
         c1_0, c2_0 = _init_inverse_sqrt(bs, ks, inputs)
     else:
         c1_0, c2_0 = _init_constant(bs, ks, inputs, scale)
-    u0 = np.log([c1_0, c2_0])
-    best_u, best_val = u0, obj(u0)
+    # The start is a vertex of the first simplex, and the search returns its best vertex.
     res = optimize.minimize(
-        obj, u0, method="Nelder-Mead",
+        obj, np.log([c1_0, c2_0]), method="Nelder-Mead",
         options={"xatol": 1e-14, "fatol": 1e-16, "maxiter": 4000, "maxfev": 8000},
     )
-    if not (res.success or np.isfinite(res.fun)):
+    if not np.isfinite(res.fun):
         raise FitError(f"two-parameter search did not converge: {res.message}")
-    if np.isfinite(res.fun) and res.fun < best_val:
-        best_u, best_val = res.x, res.fun
-    c1, c2 = float(np.exp(best_u[0])), float(np.exp(best_u[1]))
+    c1, c2 = float(np.exp(res.x[0])), float(np.exp(res.x[1]))
 
     bound = batch_lower_bound(kind, c1, inputs)
     if bound is not None and bs.min() <= bound:
@@ -463,26 +460,8 @@ def fit_model(kind: str, points, inputs: FitInputs) -> FitResult:
             f"domain bound {bound:g}"
         )
     return FitResult(
-        kind=kind, c1=c1, c2=c2, inputs=inputs, residual_norm=float(np.sqrt(best_val))
+        kind=kind, c1=c1, c2=c2, inputs=inputs, residual_norm=float(np.sqrt(res.fun))
     )
-
-
-def _golden_section(fn, lo: float, hi: float, rtol: float = 1e-8) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > rtol * max(abs(a), abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
 
 
 def closed_form_critical_batch(fit: FitResult) -> float | None:
@@ -518,14 +497,19 @@ def critical_batch(fit: FitResult, b_range: tuple[float, float]) -> FitResult:
             f"range start {lo:g} is not above the model's domain bound {bound:g}"
         )
 
+    # Imported here, not at module level; see check_monotone_convex.
+    from scipy import optimize
+
     def sfo(b: float) -> float:
         return float(model_steps(fit.kind, b, fit.c1, fit.c2, fit.inputs)) * b
 
-    b_star = _golden_section(sfo, lo, hi)
-    span = hi - lo
-    at_boundary = (b_star - lo) <= 1e-5 * span or (hi - b_star) <= 1e-5 * span
-    if at_boundary:
-        b_star = lo if (b_star - lo) <= (hi - b_star) else hi
+    # xatol well below SciPy's own relative tolerance (about 1.5e-8), which then governs.
+    res = optimize.minimize_scalar(sfo, bounds=(lo, hi), method="bounded",
+                                   options={"xatol": 1e-12 * lo})
+    # K*b is convex on [lo, hi], so an end no higher than the search's point is the minimum.
+    sfo_end, end = min((sfo(lo), lo), (sfo(hi), hi))
+    at_boundary = sfo_end <= res.fun
+    b_star = end if at_boundary else float(res.x)
     return dataclasses.replace(
         fit,
         critical_numeric=b_star,

@@ -200,6 +200,16 @@ class TestGen:
         assert exc.value.code == 2
         assert "error: --seed must be nonnegative" in capsys.readouterr().err
 
+    def test_eigensolver_failure_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert invoke(["gen", "--n", "4", "--d", "2", "--out", str(tmp_path / "x.msf")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: symmetric eigensolver did not converge")
+        assert "Traceback" not in err
+
     def test_config_file_merges_under_flags(self, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"n": 5, "d": 2, "seed": 11}))

@@ -281,6 +281,12 @@ class TestMatrixSetFile:
         with pytest.raises(FormatError):
             read_matrix_set(path)
 
+    def test_non_numeric_entry_names_its_row(self, tmp_path):
+        path = tmp_path / "n.msf"
+        path.write_text("2 1\n1 0\n0 abc\n")
+        with pytest.raises(FormatError, match="matrix 0 row 1: non-numeric entry"):
+            read_matrix_set(path)
+
     def test_row_width_checked(self, tmp_path):
         path = tmp_path / "w.msf"
         path.write_text("2 1\n1 0 0\n0 1\n")

@@ -480,6 +480,51 @@ class TestCriticalBatch:
         assert closed_form_critical_batch(fit) is None
 
 
+# Fits made from C1 = 2.3, C2 = 7.7 at b = 16..512; their closed forms are
+# about 2.8346 (inverse_sqrt), 0.07003 (constant) and 18.675 (noisy constant),
+# and the quiet inputs have none.
+INVSQRT_INPUTS = FitInputs(sigma2=5.0, grad_bound=0.3, alpha=2e-3, eps=0.05)
+NOISY_INPUTS = dataclasses.replace(CONST_INPUTS, sigma2=400.0)
+QUIET_INPUTS = dataclasses.replace(CONST_INPUTS, sigma2=0.0)
+B_STAR_INVSQRT, B_STAR_CONST = 2.834606852353942, 0.07003085417339304
+
+
+@pytest.mark.parametrize(
+    "kind, inputs, b_range",
+    [
+        ("inverse_sqrt", INVSQRT_INPUTS, (1.0, 1e6)),
+        ("inverse_sqrt", INVSQRT_INPUTS, (16.0, 16.0016)),
+        ("inverse_sqrt", INVSQRT_INPUTS, (1e-3, 1e6)),
+        ("inverse_sqrt", INVSQRT_INPUTS, (2.8, 2.87)),
+        ("inverse_sqrt", INVSQRT_INPUTS, (B_STAR_INVSQRT * (1 - 1e-3), 100.0)),
+        ("inverse_sqrt", INVSQRT_INPUTS, (B_STAR_INVSQRT * (1 + 1e-3), 100.0)),
+        ("inverse_sqrt", INVSQRT_INPUTS, (0.5, B_STAR_INVSQRT * (1 + 1e-3))),
+        ("inverse_sqrt", INVSQRT_INPUTS, (0.5, B_STAR_INVSQRT * (1 - 1e-3))),
+        ("constant", CONST_INPUTS, (0.04, 1e6)),
+        ("constant", CONST_INPUTS, (0.05, 10.0)),
+        ("constant", CONST_INPUTS, (0.0699, 0.0701)),
+        ("constant", CONST_INPUTS, (0.04, B_STAR_CONST * (1 - 1e-3))),
+        ("constant", CONST_INPUTS, (B_STAR_CONST * (1 + 1e-3), 1e3)),
+        ("constant", NOISY_INPUTS, (10.0, 1e6)),
+        ("constant", NOISY_INPUTS, (16.0, 16.0016)),
+        ("constant", NOISY_INPUTS, (18.6, 18.8)),
+        ("constant", NOISY_INPUTS, (1e4, 1e6)),
+        ("constant", QUIET_INPUTS, (1.0, 1e6)),
+        ("constant", QUIET_INPUTS, (16.0, 16.0016)),
+        ("inverse_sqrt", QUIET_INPUTS, (1.0, 1e6)),
+        ("inverse_sqrt", QUIET_INPUTS, (16.0, 16.0016)),
+    ],
+)
+def test_critical_batch_is_the_clamped_closed_form(kind, inputs, b_range):
+    fit = fit_model(kind, model_points(kind, 2.3, 7.7, inputs), inputs)
+    lo, hi = b_range
+    closed = closed_form_critical_batch(fit)
+    expected = lo if closed is None else min(max(closed, lo), hi)
+    out = critical_batch(fit, b_range)
+    assert out.critical_numeric == pytest.approx(expected, rel=1e-6)
+    assert out.critical_at_boundary == (expected in (lo, hi))
+
+
 def test_importing_spdsgd_loads_no_scipy_submodule():
     # Only fit_model and check_monotone_convex use scipy, and they import it.
     code = (
