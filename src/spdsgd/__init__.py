@@ -51,7 +51,7 @@ from .experiment import (
     model_steps,
     sweep,
 )
-from .symmat import EigenDecomp, congruence, sym_eigen, symmetrize
+from .symmat import EigenDecomp, sym_eigen, symmetrize
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "SweepRecord",
     "batch_gradient",
     "check_monotone_convex",
-    "congruence",
     "critical_batch",
     "curvature_factor",
     "distance",

@@ -17,10 +17,9 @@ uses the derivative-consistent forms
     constant/staircase:  b* = 2 C1 sigma2 alpha / (eps - G^2 alpha C1)
     1/sqrt(k+1):         b* = 2 C1 sigma2 / (2 C1 G^2 + C2)
 
-and cross-checks them against SciPy's bounded scalar search on the fitted
-curve.  Because the curve is convex on the searched range, an end whose
-``K * b`` is no higher than at the search's point is the minimum, and the
-critical batch is reported as lying on the boundary.
+Because the curve is convex on a range inside the model's domain, the
+critical batch on that range is the closed form clamped to it, and it is
+reported as lying on the boundary when the clamp lands on an end.
 """
 
 from __future__ import annotations
@@ -253,7 +252,7 @@ def check_monotone_convex(
     """
     # Imported here, not at module level: scipy.stats and scipy.optimize
     # made up most of the time and memory of ``import spdsgd``, and only
-    # this check, fit_model and critical_batch use them.
+    # this check and fit_model use them.
     from scipy import stats
 
     points = list(points)
@@ -484,9 +483,12 @@ def closed_form_critical_batch(fit: FitResult) -> float | None:
 def critical_batch(fit: FitResult, b_range: tuple[float, float]) -> FitResult:
     """Locate the batch size minimizing fitted ``K(b) * b`` on ``b_range``.
 
-    Returns a copy of ``fit`` carrying the numeric minimizer, the
-    derivative-consistent closed form, and a flag set when the minimum sits
-    on the range boundary (no interior critical batch on this range).
+    ``K(b) * b`` is convex on a range inside the model's domain, so its
+    minimizer there is the closed-form stationary point clamped to the
+    range, or ``lo`` when there is none (the curve then rises with ``b``).
+    Returns a copy of ``fit`` carrying that minimizer, the closed form, and
+    a flag set when the minimizer is an end of the range (no interior
+    critical batch on this range).
     """
     lo, hi = float(b_range[0]), float(b_range[1])
     if not (0 < lo < hi):
@@ -496,23 +498,11 @@ def critical_batch(fit: FitResult, b_range: tuple[float, float]) -> FitResult:
         raise FitDomainError(
             f"range start {lo:g} is not above the model's domain bound {bound:g}"
         )
-
-    # Imported here, not at module level; see check_monotone_convex.
-    from scipy import optimize
-
-    def sfo(b: float) -> float:
-        return float(model_steps(fit.kind, b, fit.c1, fit.c2, fit.inputs)) * b
-
-    # xatol well below SciPy's own relative tolerance (about 1.5e-8), which then governs.
-    res = optimize.minimize_scalar(sfo, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-12 * lo})
-    # K*b is convex on [lo, hi], so an end no higher than the search's point is the minimum.
-    sfo_end, end = min((sfo(lo), lo), (sfo(hi), hi))
-    at_boundary = sfo_end <= res.fun
-    b_star = end if at_boundary else float(res.x)
+    closed = closed_form_critical_batch(fit)
+    b_star = lo if closed is None else min(max(closed, lo), hi)
     return dataclasses.replace(
         fit,
         critical_numeric=b_star,
-        critical_closed_form=closed_form_critical_batch(fit),
-        critical_at_boundary=at_boundary,
+        critical_closed_form=closed,
+        critical_at_boundary=b_star in (lo, hi),
     )

@@ -17,6 +17,8 @@ into its roots ``(M^{1/2}, M^{-1/2})``, which a summary keeps for the
 optimizer's update.  The rest is O(N d) work: the mean whitened log is one
 matrix product (:func:`_mean_whitened_log`), the variance an identity.  A
 :class:`Dataset` is validated once, by one stacked check on construction.
+The Riemannian Hessian has a closed form in the same eigenvectors and log
+spectra (:func:`_whitened_hessian`), which the Newton centroid oracle uses.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import manifold
-from .symmat import compose, eigen_stack
+from .symmat import compose, eigen_stack, symmetrize
 from .symmat import _eigh  # noqa: F401  (bench/bench_trace.py wraps this binding by name)
 
 
@@ -109,6 +111,32 @@ class ObjectiveSummary:
     def gradient(self) -> np.ndarray:
         """The full Riemannian gradient at ``M``."""
         return manifold._unwhiten(self.roots, -2.0 * self._mean_log)
+
+
+def _whitened_hessian(summary: ObjectiveSummary):
+    """Half the Riemannian Hessian of the loss at the summary's point, on whitened tangents.
+
+    Returns ``eta -> (1/N) sum_i V_i (C_i o (V_i^T eta V_i)) V_i^T``, where
+    ``o`` is the entrywise product, ``C_i[p, q] = h((mu_ip - mu_iq) / 2)``
+    for the log spectrum ``mu_i`` of the ``i``-th whitened matrix, and
+    ``h(s) = s coth s``, ``h(0) = 1``; the ``i``-th term is the Hessian of
+    ``d(., A_i)^2 / 2``.  Every ``C_i >= 1``, so the operator is at least
+    the identity, and it is the identity on tangents that commute with all
+    the data.  A product is two ``(d, d) x (d, N d)`` matrix products and
+    two batched ``(N, d, d)`` ones; its result is symmetrized.
+    """
+    v, mu = summary.eigenvectors, summary.log_spectra
+    n, d = mu.shape
+    s = 0.5 * (mu[:, :, None] - mu[:, None, :])
+    c = np.divide(s, np.tanh(s), out=np.ones_like(s), where=s != 0.0)
+    u = v.transpose(1, 0, 2).reshape(d, n * d)  # all N d eigenvectors as columns
+
+    def product(eta: np.ndarray) -> np.ndarray:
+        t = v.transpose(0, 2, 1) @ (eta @ u).reshape(d, n, d).transpose(1, 0, 2)
+        t *= c  # C_i o (V_i^T eta V_i)
+        return symmetrize((v @ t).transpose(1, 0, 2).reshape(d, n * d) @ u.T / n)
+
+    return product
 
 
 def _mean_whitened_log(v: np.ndarray, lw: np.ndarray) -> np.ndarray:

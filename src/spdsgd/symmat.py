@@ -209,17 +209,3 @@ def compose(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
     """``V @ diag(fw) @ V.T`` per matrix of a stack."""
     return np.einsum("...ik,...k,...jk->...ij", v, fw, v)
 
-
-def congruence(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Congruence transform ``G @ S @ G.T`` of a symmetric matrix.
-
-    ``g`` must be invertible (not checked); the result is symmetrized.  By
-    Sylvester's law of inertia this preserves positive definiteness.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    s = check_symmetric(s, name="S")
-    if g.shape[-1] != s.shape[-2]:
-        raise ValueError(
-            f"dimension mismatch: G has shape {g.shape}, S has shape {s.shape}"
-        )
-    return symmetrize(g @ s @ np.swapaxes(g, -1, -2))

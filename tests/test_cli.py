@@ -328,6 +328,19 @@ class TestRun:
         assert invoke(["run", "--data", str(tmp_path / "nope.msf"),
                        "--out", str(tmp_path / "o.csv")]) == 1
 
+    def test_oracle_failure_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        data = make_data(tmp_path)
+
+        def fail(data, tol):
+            raise rsgd.ConvergenceError("step size collapsed with gradient norm 2.000e-09", 2e-9)
+
+        monkeypatch.setattr(rsgd, "reference_centroid", fail)
+        assert invoke(["run", "--data", str(data), "--steps", "2",
+                       "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: step size collapsed with gradient norm 2.000e-09")
+        assert "Traceback" not in err
+
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         data = make_data(tmp_path)
         with pytest.raises(SystemExit) as exc:

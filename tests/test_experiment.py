@@ -513,13 +513,25 @@ B_STAR_INVSQRT, B_STAR_CONST = 2.834606852353942, 0.07003085417339304
         ("constant", QUIET_INPUTS, (16.0, 16.0016)),
         ("inverse_sqrt", QUIET_INPUTS, (1.0, 1e6)),
         ("inverse_sqrt", QUIET_INPUTS, (16.0, 16.0016)),
+        ("inverse_sqrt", INVSQRT_INPUTS, (1.0, 1e200)),
     ],
 )
 def test_critical_batch_is_the_clamped_closed_form(kind, inputs, b_range):
+    from scipy import optimize
+
     fit = fit_model(kind, model_points(kind, 2.3, 7.7, inputs), inputs)
     lo, hi = b_range
-    closed = closed_form_critical_batch(fit)
-    expected = lo if closed is None else min(max(closed, lo), hi)
+
+    def sfo(log_b: float) -> float:
+        b = np.exp(log_b)
+        return float(model_steps(kind, b, fit.c1, fit.c2, inputs)) * b
+
+    # An oracle of its own: SciPy's bounded search over log b.  K*b is convex
+    # in b on the range, so an end no higher than the search's point is the minimum.
+    res = optimize.minimize_scalar(sfo, bounds=(np.log(lo), np.log(hi)), method="bounded",
+                                   options={"xatol": 1e-12})
+    end = min((sfo(np.log(lo)), lo), (sfo(np.log(hi)), hi))
+    expected = end[1] if end[0] <= res.fun else float(np.exp(res.x))
     out = critical_batch(fit, b_range)
     assert out.critical_numeric == pytest.approx(expected, rel=1e-6)
     assert out.critical_at_boundary == (expected in (lo, hi))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from spdsgd import manifold, objective, rsgd, symmat
+from numpy.random import Generator, Philox
+
+from spdsgd import dataio, manifold, objective, rsgd, symmat
 from spdsgd.objective import (
     Ball,
     Dataset,
@@ -13,6 +15,7 @@ from spdsgd.objective import (
 )
 from spdsgd.rsgd import (
     _BOUND_MARGIN,
+    ConvergenceError,
     RunConfig,
     RunError,
     StepSchedule,
@@ -232,6 +235,87 @@ class TestReferenceCentroid:
             y = manifold.exp_map(star, random_tangent(rng, 3, 2.0))
             gap = stationarity_gap(star, grad, y)
             assert gap <= tol * manifold.distance(star, y) + 1e-12
+
+    @pytest.mark.parametrize("spread", [0.4, 2.0])
+    def test_hessian_product_is_the_geodesic_second_derivative(self, rng, spread):
+        # (f(x+) - 2 f(x) + f(x-)) / t^2 along exp_x(+-t x^1/2 eta x^1/2) is
+        # <eta, Hess f eta>, twice the whitened half-Hessian's form.  At spread
+        # 2, f's rounding over t^2 reaches 3e-5 relative at t = 1e-3.
+        data = cloud(rng, 16, 4, spread=spread)
+        x = random_spd(rng, 4)
+        summary = objective.objective_summary(x, data)
+        half, _ = summary.roots
+        hess = objective._whitened_hessian(summary)
+        t = 1e-2
+        for _ in range(3):
+            eta = random_tangent(rng, 4, 1.0)
+            f_plus, f_minus = (loss(manifold.exp_map(x, s * t * half @ eta @ half), data)
+                               for s in (1.0, -1.0))
+            second = (f_plus - 2.0 * summary.value + f_minus) / t**2
+            assert second == pytest.approx(2.0 * np.vdot(eta, hess(eta)), rel=1e-5)
+            assert np.vdot(eta, hess(eta)) >= np.vdot(eta, eta)
+
+    def test_commuting_data_take_one_newton_step(self, rng, monkeypatch):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        spectra = np.exp(rng.uniform(-2.0, 2.0, size=(8, 3)))
+        data = Dataset(np.stack([(q * w) @ q.T for w in spectra]))
+        calls = count_evaluations(monkeypatch)
+        out = reference_centroid(data, 1e-10)
+        assert len(calls) == 2
+        geometric = (q * np.exp(np.log(spectra).mean(axis=0))) @ q.T
+        assert manifold.distance(out, geometric) < 1e-12
+
+    def test_far_spread_converges(self, rng, monkeypatch):
+        data = cloud(rng, 32, 4, spread=2.0)
+        calls = count_evaluations(monkeypatch)
+        out = reference_centroid(data, 1e-9)
+        assert len(calls) <= 8
+        assert manifold.norm(out, full_gradient(out, data)) < 1e-9
+
+    def test_rejected_step_halves_alpha(self, rng, monkeypatch):
+        # An 8-fold overshoot raises f and the gradient norm: the oracle
+        # halves alpha three times, to the Newton step, and converges.
+        data = cloud(rng, 32, 4, spread=2.0)
+        newton = rsgd._newton_direction
+        monkeypatch.setattr(rsgd, "_newton_direction", lambda summary: 8.0 * newton(summary))
+        calls = count_evaluations(monkeypatch)
+        out = reference_centroid(data, 1e-9)
+        f0, f1 = (loss(x, data) for x in calls[:2])
+        assert f1 > f0
+        assert manifold.norm(out, full_gradient(out, data)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "gen, scale",
+        [(lambda: Generator(Philox(key=np.uint64(0))), 0.8),
+         (lambda: Generator(Philox(key=np.uint64(1))), 0.8),
+         (lambda: np.random.default_rng(20240501), 1.0)],
+        ids=["bench-seed0", "bench-seed1", "acceptance"],
+    )
+    def test_256_by_5_sets_take_at_most_five_evaluations(self, gen, scale, monkeypatch):
+        # The benchmark's `spdsgd gen --n 256 --d 5 --spread 0.5 --center
+        # scale:0.8` at seeds 0 and 1, and the acceptance tests' data set.
+        data = dataio.generate_synthetic(gen(), 256, 5, scale * np.eye(5), 0.5)
+        calls = count_evaluations(monkeypatch)
+        reference_centroid(data, 1e-9)
+        assert len(calls) <= 5
+
+    def test_unreachable_tolerance_raises(self, rng):
+        with pytest.raises(ConvergenceError, match="step size collapsed") as exc:
+            reference_centroid(cloud(rng, 8, 3), 1e-30)
+        assert 0.0 < exc.value.grad_norm < np.inf
+
+
+def count_evaluations(monkeypatch) -> list:
+    """Record the point of every full evaluation from here on."""
+    calls = []
+    summary = objective.objective_summary
+
+    def counted(m, data):
+        calls.append(m)
+        return summary(m, data)
+
+    monkeypatch.setattr(objective, "objective_summary", counted)
+    return calls
 
 
 class TestConvergenceBounds:

@@ -8,7 +8,6 @@ import spdsgd
 
 from spdsgd.symmat import (
     DomainError,
-    congruence,
     spectral,
     sym_eigen,
     symmetrize,
@@ -130,28 +129,6 @@ def test_stacked_asymmetry_names_the_matrix():
     stack = np.stack([np.eye(2), np.eye(2), [[1.0, 1e-3], [0.0, 1.0]]])
     with pytest.raises(ValueError, match="at index 2 is not symmetric"):
         sym_eigen(stack)
-
-
-def test_congruence_identity(rng):
-    s = random_spd(rng, 3)
-    np.testing.assert_array_equal(congruence(np.eye(3), s), s)
-
-
-def test_congruence_diagonal():
-    out = congruence(np.diag([2.0, 1.0]), np.eye(2))
-    np.testing.assert_array_equal(out, np.diag([4.0, 1.0]))
-
-
-def test_congruence_preserves_positive_definiteness(rng):
-    s = random_spd(rng, 4)
-    g = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
-    w, _ = sym_eigen(congruence(g, s))
-    assert np.all(w > 0)
-
-
-def test_congruence_dimension_mismatch(rng):
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        congruence(np.eye(3), random_spd(rng, 4))
 
 
 def test_symmetrize():
