@@ -239,6 +239,13 @@ class ConvexityReport:
         return self.monotone_pass and self.steps_convex_pass and self.sfo_convex_pass
 
 
+def _average_ranks(x):
+    """Ranks 1..n of ``x``, ties sharing the mean of the ranks they span."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - 0.5 * (counts - 1))[inverse]
+
+
 def check_monotone_convex(
     points, *, spearman_max: float = -0.9, convexity_frac: float = 0.05
 ) -> ConvexityReport:
@@ -250,11 +257,6 @@ def check_monotone_convex(
     check passes when the minimum second difference on the log-batch grid is
     at least ``-convexity_frac`` times the median of the series.
     """
-    # Imported here, not at module level: scipy.stats and scipy.optimize
-    # made up most of the time and memory of ``import spdsgd``, and only
-    # this check and fit_model use them.
-    from scipy import stats
-
     points = list(points)
     if len(points) < 3:
         raise ValueError("need at least 3 (batch, K) points")
@@ -265,10 +267,10 @@ def check_monotone_convex(
     sfo = k * b
 
     nonincreasing = bool(np.all(np.diff(k) <= 1e-12 * np.maximum(1.0, np.abs(k[:-1]))))
-    if np.all(k == k[0]):
+    if np.all(k == k[0]) or np.isnan([b, k]).any():
         rho_k = np.nan
     else:
-        rho_k = float(stats.spearmanr(b, k).statistic)
+        rho_k = float(np.corrcoef(_average_ranks(b), _average_ranks(k))[1, 0])
 
     d2_k = log_grid_second_differences(b, k)
     d2_sfo = log_grid_second_differences(b, sfo)
@@ -409,18 +411,99 @@ def _init_inverse_sqrt(bs, ks, inputs: FitInputs) -> tuple[float, float]:
     return c1, c2
 
 
+class _OutOfEvaluations(Exception):
+    """The simplex search asked for an evaluation beyond its budget."""
+
+
+def _nelder_mead(func, x0, *, xatol: float, fatol: float, maxiter: int, maxfev: int):
+    """Minimize ``func`` from ``x0`` by SciPy 1.17's Nelder-Mead, op for op.
+
+    This is SciPy's ``minimize(method="Nelder-Mead")`` without bounds or
+    adaptive coefficients: the same first simplex, steps, sorts and stopping
+    tests, so it returns the same best vertex and value to the bit.  Returns
+    ``(x, fun, message)``, with SciPy's message for why the search stopped.
+    """
+    n = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=np.float64), (n + 1, 1))
+    for j in range(n):
+        sim[j + 1, j] = 1.05 * sim[0, j] if sim[0, j] != 0 else 0.00025
+    calls = 0
+
+    def f(x) -> float:
+        # An evaluation past the budget is refused, ending the current step.
+        nonlocal calls
+        if calls >= maxfev:
+            raise _OutOfEvaluations
+        calls += 1
+        return func(x)
+
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for j in range(n + 1):
+            fsim[j] = f(sim[j])
+    except _OutOfEvaluations:
+        pass
+    # SciPy sorts the first simplex twice; numpy's argsort is not guaranteed stable.
+    order = np.argsort(fsim)
+    sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    iterations = 1
+    while True:
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+        if calls >= maxfev or iterations >= maxiter:
+            break
+        # inf - inf is NaN, which fails the test, when every vertex is infeasible.
+        with np.errstate(invalid="ignore"):
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+                else:
+                    sim[-1], fsim[-1] = xc, fxc
+            iterations += 1
+        except _OutOfEvaluations:
+            pass
+    if calls >= maxfev:
+        message = "Maximum number of function evaluations has been exceeded."
+    elif iterations >= maxiter:
+        message = "Maximum number of iterations has been exceeded."
+    else:
+        message = "Optimization terminated successfully."
+    return sim[0], np.min(fsim), message
+
+
 def fit_model(kind: str, points, inputs: FitInputs) -> FitResult:
     """Least-squares fit of (C1, C2) to measured (batch, K) pairs.
 
     The objective is the sum of squared log-residuals, so batch sizes whose
     step counts span orders of magnitude contribute evenly.  The fit starts
     from an exact linearization (the models are affine in transformed
-    coordinates), then polishes with a bounded simplex search that rejects
-    any (C1, C2) violating the model's domain at an observed batch size.
+    coordinates), then polishes with a Nelder-Mead simplex search over
+    (log C1, log C2) that scores inf any (C1, C2) violating the model's
+    domain at an observed batch size.
     """
-    # Imported here, not at module level; see check_monotone_convex.
-    from scipy import optimize
-
     pts = sorted((float(b), float(k)) for b, k in points)
     if len(pts) < 2:
         raise ValueError("need at least 2 (batch, K) points to fit")
@@ -444,13 +527,12 @@ def fit_model(kind: str, points, inputs: FitInputs) -> FitResult:
     else:
         c1_0, c2_0 = _init_constant(bs, ks, inputs, scale)
     # The start is a vertex of the first simplex, and the search returns its best vertex.
-    res = optimize.minimize(
-        obj, np.log([c1_0, c2_0]), method="Nelder-Mead",
-        options={"xatol": 1e-14, "fatol": 1e-16, "maxiter": 4000, "maxfev": 8000},
+    u, fun, message = _nelder_mead(
+        obj, np.log([c1_0, c2_0]), xatol=1e-14, fatol=1e-16, maxiter=4000, maxfev=8000
     )
-    if not np.isfinite(res.fun):
-        raise FitError(f"two-parameter search did not converge: {res.message}")
-    c1, c2 = float(np.exp(res.x[0])), float(np.exp(res.x[1]))
+    if not np.isfinite(fun):
+        raise FitError(f"two-parameter search did not converge: {message}")
+    c1, c2 = float(np.exp(u[0])), float(np.exp(u[1]))
 
     bound = batch_lower_bound(kind, c1, inputs)
     if bound is not None and bs.min() <= bound:
@@ -459,7 +541,7 @@ def fit_model(kind: str, points, inputs: FitInputs) -> FitResult:
             f"domain bound {bound:g}"
         )
     return FitResult(
-        kind=kind, c1=c1, c2=c2, inputs=inputs, residual_norm=float(np.sqrt(res.fun))
+        kind=kind, c1=c1, c2=c2, inputs=inputs, residual_norm=float(np.sqrt(fun))
     )
 
 

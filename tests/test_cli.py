@@ -549,6 +549,17 @@ class TestFit:
         )
         assert code == 1
 
+    def test_failed_search_names_why_it_stopped(self, tmp_path, monkeypatch, capsys):
+        # With no feasible (C1, C2), every vertex is infinite and the simplex
+        # shrinks until its evaluation budget runs out.
+        monkeypatch.setattr(experiment, "model_steps", lambda kind, b, c1, c2, inputs: np.nan * b)
+        code = invoke(["fit", "--sweep-csv", str(model_csv(tmp_path)), "--schedule", "constant",
+                       "--epsilon", "0.1", "--sigma2", "1.5", "--G", "0.8"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: two-parameter search did not converge: "
+            "Maximum number of function evaluations has been exceeded.\n")
+
     def test_fit_csv_output(self, tmp_path):
         path = model_csv(tmp_path)
         out = tmp_path / "fit.csv"

@@ -537,18 +537,158 @@ def test_critical_batch_is_the_clamped_closed_form(kind, inputs, b_range):
     assert out.critical_at_boundary == (expected in (lo, hi))
 
 
-def test_importing_spdsgd_loads_no_scipy_submodule():
-    # Only fit_model and check_monotone_convex use scipy, and they import it.
+def random_fit_case(rng, case: int):
+    """One seeded fit problem: (kind, points, inputs, label).
+
+    Cases cycle through model-generated curves with and without noise, curves
+    whose C1 sits just inside the constant-step domain, flat K(b) (the fit
+    drives C1 to roundoff) and pure noise.
+    """
+    kind = ("constant", "staircase", "inverse_sqrt")[case % 3]
+    shape = ("model", "edge", "noisy", "model", "edge", "flat", "model", "edge", "noise",
+             "model", "edge", "model")[case // 3 % 12]
+    inputs = FitInputs(
+        sigma2=float(np.exp(rng.uniform(np.log(0.1), np.log(100.0)))),
+        grad_bound=float(rng.uniform(0.1, 2.0)),
+        alpha=float(np.exp(rng.uniform(np.log(1e-4), np.log(1e-2)))),
+        eps=float(np.exp(rng.uniform(np.log(0.01), np.log(1.0)))),
+        gamma=0.5,
+        max_stage=int(rng.integers(1, 6)),
+    )
+    p = np.sort(rng.choice(np.arange(1, 11), size=int(rng.integers(2, 8)), replace=False))
+    bs = 2.0**p
+    if shape == "flat":
+        ks = np.full(bs.shape, float(rng.integers(10, 5000)))
+    elif shape == "noise":
+        ks = np.exp(rng.uniform(0.0, 8.0, bs.shape))
+    else:
+        c2 = float(np.exp(rng.uniform(-2.0, 3.0)))
+        if kind == "inverse_sqrt":
+            c1 = float(np.exp(rng.uniform(-3.0, 3.0)))
+        else:
+            # A fraction of the largest C1 with a positive denominator at the smallest batch.
+            noise_term = inputs.sigma2 + inputs.grad_bound**2 * bs[0]
+            cap = inputs.eps * bs[0] / (inputs.alpha * noise_term)
+            if shape == "edge":
+                c1 = (1.0 - 10.0 ** rng.uniform(-6.0, -2.0)) * cap
+            else:
+                c1 = rng.uniform(0.01, 0.9) * cap
+        ks = model_steps(kind, bs, c1, c2, inputs)
+        if shape == "noisy":
+            ks = ks * np.exp(rng.normal(0.0, 0.2, bs.shape))
+    points = list(zip(bs.tolist(), np.atleast_1d(ks).tolist()))
+    return kind, points, inputs, f"case {case} {kind} {shape}"
+
+
+def capture_searches(monkeypatch):
+    """Record (objective, start, result) of every simplex search fit_model makes.
+
+    The recorded objective remembers its values by the bits of its argument,
+    so a search that retraces fit_model's steps costs no new evaluations.
+    """
+    searches = []
+    real = experiment._nelder_mead
+
+    def spy(func, x0, **options):
+        memo = {}
+
+        def remembered(x):
+            key = np.asarray(x, dtype=np.float64).tobytes()
+            if key not in memo:
+                memo[key] = func(x)
+            return memo[key]
+
+        result = real(remembered, x0, **options)
+        searches.append((remembered, np.array(x0), result))
+        return result
+
+    monkeypatch.setattr(experiment, "_nelder_mead", spy)
+    return searches, real
+
+
+def scipy_search(func, x0, maxiter=4000, maxfev=8000):
+    from scipy import optimize
+
+    return optimize.minimize(func, x0, method="Nelder-Mead", options={
+        "xatol": 1e-14, "fatol": 1e-16, "maxiter": maxiter, "maxfev": maxfev})
+
+
+def same_bits(ours, ref) -> bool:
+    x, fun, message = ours
+    return (x.tobytes() == ref.x.tobytes() and message == ref.message
+            and np.float64(fun).tobytes() == np.float64(ref.fun).tobytes())
+
+
+def test_simplex_search_matches_scipy_bit_for_bit(monkeypatch):
+    searches, nelder_mead = capture_searches(monkeypatch)
+    rng = np.random.default_rng(20)
+    n_cases = 306
+    for case in range(n_cases):
+        kind, points, inputs, label = random_fit_case(rng, case)
+        try:
+            fit_model(kind, points, inputs)
+        except (experiment.FitDomainError, experiment.FitError):
+            pass
+        func, x0, ours = searches[-1]
+        assert same_bits(ours, scipy_search(func, x0)), label
+        # Both early stops, from the same start: the evaluation cap (also
+        # inside the first simplex) and the iteration cap.
+        for maxiter, maxfev in [(4000, 2), (4000, int(rng.integers(4, 60))),
+                                (int(rng.integers(1, 40)), 8000)]:
+            ours = nelder_mead(func, x0, xatol=1e-14, fatol=1e-16, maxiter=maxiter, maxfev=maxfev)
+            assert same_bits(ours, scipy_search(func, x0, maxiter, maxfev)), (
+                f"{label}, maxiter {maxiter}, maxfev {maxfev}")
+    assert len(searches) == n_cases
+
+
+def test_spearman_matches_scipy_with_ties():
+    from scipy import stats
+
+    rng = np.random.default_rng(21)
+    for trial in range(500):
+        n = int(rng.integers(3, 30))
+        bs = np.sort(rng.choice(np.arange(1, 2000), size=n, replace=False))
+        # Few distinct values, so most series have ties.
+        ks = rng.choice(np.exp(rng.normal(size=int(rng.integers(2, 12)))), size=n)
+        if np.all(ks == ks[0]):
+            continue
+        report = check_monotone_convex(list(zip(bs.tolist(), ks.tolist())))
+        expected = float(stats.spearmanr(bs, ks).statistic)
+        assert report.spearman_steps == pytest.approx(expected, abs=1e-12), trial
+    assert np.isnan(check_monotone_convex([(1, 3.0), (2, 3.0), (4, 3.0), (8, 3.0)]).spearman_steps)
+    assert np.isnan(check_monotone_convex([(1, 3.0), (2, np.nan), (4, 1.0)]).spearman_steps)
+
+
+def test_pipeline_runs_with_scipy_unimportable(tmp_path):
+    # numpy is spdsgd's only runtime dependency: with every scipy import
+    # refused, gen -> sweep -> fit and the K(b) checks still run.
     code = (
-        "import sys, spdsgd, spdsgd.cli\n"
-        "loaded = sorted({'scipy.optimize', 'scipy.stats'} & set(sys.modules))\n"
-        "assert not loaded, loaded\n"
-        "from spdsgd.experiment import FitInputs, fit_model, model_steps\n"
+        "import sys\n"
+        "class RefuseScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy refused: ' + name)\n"
+        "sys.meta_path.insert(0, RefuseScipy())\n"
+        "from spdsgd import cli\n"
+        "from spdsgd.experiment import FitInputs, check_monotone_convex, fit_model, model_steps\n"
+        "data, sweep = sys.argv[1] + '/data.msf', sys.argv[1] + '/sweep.csv'\n"
+        "assert cli.main(['gen', '--n', '12', '--d', '3', '--spread', '0.4', '--center', "
+        "'scale:2', '--seed', '3', '--out', data]) == 0\n"
+        "assert cli.main(['sweep', '--data', data, '--schedule', 'staircase:0.05,0.5,20,2', "
+        "'--epsilons', '0.9', '--batches', '2^2..2^4', '--seeds', '0,1', '--steps', '400', "
+        "'--out', sweep]) == 0\n"
+        "assert cli.main(['fit', '--sweep-csv', sweep, '--schedule', 'staircase', "
+        "'--epsilon', '0.9', '--sigma2', '1', '--G', '1']) == 0\n"
         "inputs = FitInputs(sigma2=1.0, grad_bound=1.0, alpha=0.1, eps=0.5)\n"
         "points = [(b, float(model_steps('constant', b, 2.0, 3.0, inputs))) for b in (1, 4, 16)]\n"
         "fit = fit_model('constant', points, inputs)\n"
         "assert abs(fit.c1 / 2.0 - 1) < 1e-6 and abs(fit.c2 / 3.0 - 1) < 1e-6, fit\n"
+        "report = check_monotone_convex([(1, 10.0), (2, 6.0), (4, 4.0), (8, 4.0)])\n"
+        "assert report.passed and report.spearman_steps < -0.9, report\n"
+        "assert not [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # the spdsgd under test
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=env)
     assert done.returncode == 0, done.stderr
+    assert "C1" in done.stdout, done.stdout
