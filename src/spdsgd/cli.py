@@ -270,7 +270,6 @@ def cmd_run(args, parser) -> int:
         parser.error("--seed must be nonnegative")
     if args.seed >= rsgd._SEED_LIMIT:
         parser.error("--seed must be below 2^64")
-    epsilons = tuple(sorted(set(args.epsilons), reverse=True))
 
     data = dataio.read_matrix_set(args.data)
     period = math.ceil(data.n / args.batch) if args.T is None else args.T
@@ -286,7 +285,7 @@ def cmd_run(args, parser) -> int:
         batch_size=args.batch,
         seed=args.seed,
         max_steps=args.steps,
-        epsilons=epsilons,
+        epsilons=args.epsilons,
         reference=reference,
     )
     record = rsgd.run(config)
@@ -298,7 +297,7 @@ def cmd_run(args, parser) -> int:
             k, _fmt(record.f[k]), _fmt(record.grad_norm[k]), _fmt(alpha_k),
             _fmt(record.stationarity[k]), _fmt(record.ref_distance[k]),
         ])
-    for e in epsilons:
+    for e in config.epsilons:
         hit = record.steps_to_epsilon[e]
         rows.append(["K", _fmt(e), "censored" if hit is None else hit])
     _write_csv(args.out, rows)
@@ -451,33 +450,25 @@ def cmd_fit(args, parser) -> int:
     fit = experiment.critical_batch(fit, b_range)
     bound = experiment.batch_lower_bound(schedule.kind, fit.c1, inputs)
 
-    print(f"schedule: {label}")
-    print(f"epsilon: {_fmt(args.epsilon)}")
-    print(f"points: {' '.join(f'({b},{_fmt(k)})' for b, k in points)}")
-    print(f"C1: {_fmt(fit.c1)}")
-    print(f"C2: {_fmt(fit.c2)}")
-    print(f"residual: {_fmt(fit.residual_norm)}")
-    print(f"critical_batch_numeric: {_fmt(fit.critical_numeric)}")
     cf = fit.critical_closed_form
-    print(f"critical_batch_closed_form: {'none' if cf is None else _fmt(cf)}")
-    print(f"boundary: {'true' if fit.critical_at_boundary else 'false'}")
-    print(f"batch_lower_bound: {'none' if bound is None else _fmt(bound)}")
+    report = [  # (printed line, --out column or None, text)
+        ("schedule", "schedule", label),
+        ("epsilon", "epsilon", _fmt(args.epsilon)),
+        ("points", None, " ".join(f"({b},{_fmt(k)})" for b, k in points)),
+        ("C1", "C1", _fmt(fit.c1)),
+        ("C2", "C2", _fmt(fit.c2)),
+        ("residual", "residual", _fmt(fit.residual_norm)),
+        ("critical_batch_numeric", "critical_numeric", _fmt(fit.critical_numeric)),
+        ("critical_batch_closed_form", "critical_closed_form", "none" if cf is None else _fmt(cf)),
+        ("boundary", "boundary", "true" if fit.critical_at_boundary else "false"),
+        ("batch_lower_bound", "batch_lower_bound", "none" if bound is None else _fmt(bound)),
+    ]
+    for line, _, text in report:
+        print(f"{line}: {text}")
+    if fit.message != experiment._CONVERGED:
+        print(f"note: the (C1, C2) search stopped at its cap: {fit.message}", file=sys.stderr)
     if args.out:
-        _write_csv(args.out, [
-            ["schedule", "epsilon", "C1", "C2", "residual", "critical_numeric",
-             "critical_closed_form", "boundary", "batch_lower_bound"],
-            [
-                label,
-                _fmt(args.epsilon),
-                _fmt(fit.c1),
-                _fmt(fit.c2),
-                _fmt(fit.residual_norm),
-                _fmt(fit.critical_numeric),
-                "none" if cf is None else _fmt(cf),
-                "true" if fit.critical_at_boundary else "false",
-                "none" if bound is None else _fmt(bound),
-            ],
-        ])
+        _write_csv(args.out, zip(*[(column, text) for _, column, text in report if column]))
     return 0
 
 

@@ -148,23 +148,22 @@ def sweep(config: SweepConfig) -> SweepRecord:
     off the same run, which is exactly what separate runs would measure
     since batch draws are keyed by (seed, step) and do not depend on the
     threshold list.  The runs advance in lockstep through one call of
-    :func:`spdsgd.rsgd._descend`, whose one-run case is
-    :func:`spdsgd.rsgd.hitting_steps`: the loss is evaluated only at the
-    last iterate and where a lower bound on ``f``, taken in the tangent
-    space of the last evaluated iterate, leaves a threshold within reach,
-    and each cell's ``K`` and ``final_f`` equal :func:`spdsgd.rsgd.run`'s
-    bit for bit.  Runs of one (batch, seed) share their steps until their
-    step sizes differ, ``x0`` is evaluated once, and every step decomposes
-    all runs' small matrices in a few stacked calls.  A run that fails
-    errors its own cells only.  ``wall_ms`` is the time from the group's
-    start until the run stopped.  With ``n_jobs > 1``, the (batch, seed)
-    groups are dealt round-robin to ``min(n_jobs, groups)`` threads, each
-    advancing its share in lockstep.  Cells are assembled in grid order, so
-    the record is identical no matter how many jobs execute concurrently.
+    :func:`spdsgd.rsgd._descend`, without an observer: the loss is
+    evaluated only at the last iterate and where a lower bound on ``f``,
+    taken in the tangent space of the last evaluated iterate, leaves a
+    threshold within reach, and each cell's ``K`` and ``final_f`` equal
+    :func:`spdsgd.rsgd.run`'s bit for bit.  Runs of one (batch, seed) share
+    their steps until their step sizes differ, ``x0`` is evaluated once,
+    and every step decomposes all runs' small matrices in a few stacked
+    calls.  A run that fails errors its own cells only.  ``wall_ms`` is the
+    time from the group's start until the run stopped.  With ``n_jobs >
+    1``, the (batch, seed) groups are dealt round-robin to ``min(n_jobs,
+    groups)`` threads, each advancing its share in lockstep.  Cells are
+    assembled in grid order, so the record is identical no matter how many
+    jobs execute concurrently.
     """
-    eps_desc = tuple(sorted(config.epsilons, reverse=True))
     runs = [
-        RunConfig(config.data, config.x0, s, b, seed, config.max_steps, epsilons=eps_desc)
+        RunConfig(config.data, config.x0, s, b, seed, config.max_steps, config.epsilons)
         for s, b, seed in product(config.schedules, config.batch_sizes, config.seeds)
     ]
     groups: dict[tuple[int, int], list[int]] = {}
@@ -318,6 +317,9 @@ class FitInputs:
                 raise ValueError(f"{name} must be finite and positive")
 
 
+_CONVERGED = "Optimization terminated successfully."
+
+
 @dataclass(frozen=True)
 class FitResult:
     kind: str
@@ -328,6 +330,7 @@ class FitResult:
     critical_numeric: float | None = None
     critical_closed_form: float | None = None
     critical_at_boundary: bool = False
+    message: str = _CONVERGED  # why the simplex search stopped
 
 
 def _scale(kind: str, inputs: FitInputs) -> float | None:
@@ -490,7 +493,7 @@ def _nelder_mead(func, x0, *, xatol: float, fatol: float, maxiter: int, maxfev: 
     elif iterations >= maxiter:
         message = "Maximum number of iterations has been exceeded."
     else:
-        message = "Optimization terminated successfully."
+        message = _CONVERGED
     return sim[0], np.min(fsim), message
 
 
@@ -502,7 +505,8 @@ def fit_model(kind: str, points, inputs: FitInputs) -> FitResult:
     from an exact linearization (the models are affine in transformed
     coordinates), then polishes with a Nelder-Mead simplex search over
     (log C1, log C2) that scores inf any (C1, C2) violating the model's
-    domain at an observed batch size.
+    domain at an observed batch size.  The result keeps the search's stop
+    message, which names its iteration or evaluation cap if it reached one.
     """
     pts = sorted((float(b), float(k)) for b, k in points)
     if len(pts) < 2:
@@ -541,7 +545,7 @@ def fit_model(kind: str, points, inputs: FitInputs) -> FitResult:
             f"domain bound {bound:g}"
         )
     return FitResult(
-        kind=kind, c1=c1, c2=c2, inputs=inputs, residual_norm=float(np.sqrt(fun))
+        kind=kind, c1=c1, c2=c2, inputs=inputs, residual_norm=float(np.sqrt(fun)), message=message
     )
 
 

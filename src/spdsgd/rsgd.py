@@ -180,11 +180,9 @@ class RunConfig:
             raise ValueError(f"seed must be below 2^64 (a Philox key), got {self.seed}")
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
-        eps = tuple(float(e) for e in self.epsilons)
+        eps = tuple(sorted({float(e) for e in self.epsilons}, reverse=True))
         if not all(0.0 < e < np.inf for e in eps):
             raise ValueError("epsilons must be finite and strictly positive")
-        if any(a <= b for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilons must be strictly descending")
         object.__setattr__(self, "epsilons", eps)
         if self.reference is not None:
             object.__setattr__(
@@ -213,7 +211,6 @@ class RunRecord:
     sigma2_max: float
     grad_norm_max: float
     max_ref_distance: float
-    wall_time_s: float
 
     @property
     def steps(self) -> int:
@@ -320,12 +317,15 @@ def _descend(configs: list[RunConfig], observe=None) -> list:
     must share one dataset.  Each run's floats are those it has alone.
 
     With ``observe``, every iterate is evaluated and its summary passed to
-    ``observe``.  Without, only the last iterate and those where a threshold
-    could be crossed are: the last evaluated iterate is an anchor, and a
-    later iterate ``y`` whose :func:`_loss_lower_bound` from it reaches
-    ``e (1 + 1e-9)`` (plus ``1e-9`` of the bound's scale) for the largest
-    remaining ``e`` takes its batch gradient from its ``b`` rows alone.  That
-    gradient is bit-identical to a full evaluation's.
+    ``observe``.  Without, a run with thresholds evaluates only its last
+    iterate and those where a threshold could be crossed: the last evaluated
+    iterate is an anchor, and a later iterate ``y`` whose
+    :func:`_loss_lower_bound` from it reaches ``e (1 + 1e-9)`` (plus
+    ``1e-9`` of the bound's scale) for the largest remaining ``e`` takes its
+    batch gradient from its ``b`` rows alone.  That gradient is bit-identical
+    to a full evaluation's, so a sweep cell's ``K`` and final ``f`` equal
+    :func:`run`'s.  An iterate skipped this way decomposes only its batch's
+    rows, so a geometry failure in another row goes unseen.
 
     Runs that differ only in their schedule share one state (a branch) while
     their step sizes are equal floats, and consecutive branches at equal
@@ -374,9 +374,9 @@ def _descend(configs: list[RunConfig], observe=None) -> list:
     k = 0
     while branches:
         # Which iterates skip their evaluation.
-        free = [br for br in branches if observe is None and k < br.config.max_steps]
-        bounded = [br for br in free if br.eps_left and br.anchor is not None]
-        skip = {id(br) for br in free if not br.eps_left}
+        bounded = [br for br in branches if observe is None and k < br.config.max_steps
+                   and br.eps_left and br.anchor is not None]
+        skip = set()
         for br, bound in zip(bounded, _each(bounds, bounded)):
             if isinstance(bound, Exception):  # left for the full evaluation to report
                 continue
@@ -453,10 +453,9 @@ def run(config: RunConfig) -> RunRecord:
     the gradient norm and, with a reference point, the stationarity gap and
     the distance to the reference are evaluated at every iterate.  A failed
     evaluation or update, or a non-finite iterate, raises :class:`RunError`
-    carrying the last finite iterate.  :func:`hitting_steps` runs the same
-    loop for the hits alone.
+    carrying the last finite iterate.  A sweep runs the same loop,
+    :func:`_descend`, for the hits alone.
     """
-    t_start = time.perf_counter()
     rows: list[tuple[float, float, float, float, float]] = []
 
     def observe(summary: objective.ObjectiveSummary) -> None:
@@ -482,25 +481,7 @@ def run(config: RunConfig) -> RunRecord:
         sigma2_max=max(row[4] for row in rows),
         grad_norm_max=float(np.max(grad_norm)),
         max_ref_distance=float(np.max(d_ref)),
-        wall_time_s=time.perf_counter() - t_start,
     )
-
-
-def hitting_steps(config: RunConfig) -> tuple[dict[float, int | None], float, int, float]:
-    """:func:`run`'s hits, evaluating the loss only where one can occur.
-
-    Returns ``(steps_to_epsilon, final_f, steps, wall_s)``, equal to ``run``'s
-    bit for bit: it is :func:`_descend`'s one-run case, as a sweep cell is
-    one run of a lockstep group.  Between evaluations, each iterate costs one
-    small ``eigh`` for :func:`_loss_lower_bound`, taken from the last
-    evaluated iterate.  An iterate the bound skips decomposes only its
-    batch's rows, so a geometry failure in another row goes unseen.
-    """
-    (outcome,) = _descend([config])
-    if isinstance(outcome, RunError):
-        raise outcome
-    hits, final_f, _, steps, wall_s = outcome
-    return hits, final_f, steps, wall_s
 
 
 def _newton_direction(summary: objective.ObjectiveSummary) -> np.ndarray:

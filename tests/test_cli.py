@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from spdsgd import cli, dataio, experiment, rsgd
 from spdsgd.experiment import FitInputs, model_steps
 
+from conftest import capped_fit_case
+
 
 def invoke(argv):
     return cli.main(argv)
@@ -560,16 +562,43 @@ class TestFit:
             "error: two-parameter search did not converge: "
             "Maximum number of function evaluations has been exceeded.\n")
 
-    def test_fit_csv_output(self, tmp_path):
+    def test_fit_csv_output(self, tmp_path, capsys):
         path = model_csv(tmp_path)
         out = tmp_path / "fit.csv"
-        invoke(
+        code = invoke(
             ["fit", "--sweep-csv", str(path), "--schedule", "constant",
              "--epsilon", "0.1", "--sigma2", "1.5", "--G", "0.8", "--out", str(out)]
         )
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("schedule,epsilon,C1,C2,residual")
-        assert lines[1].startswith("constant:0.001,")
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""  # the search converged: no note
+        printed = dict(ln.split(": ", 1) for ln in captured.out.splitlines())
+        with open(out, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert header == ["schedule", "epsilon", "C1", "C2", "residual", "critical_numeric",
+                          "critical_closed_form", "boundary", "batch_lower_bound"]
+        assert row[0] == "constant:0.001"
+        # Each column holds the text of the printed line it mirrors.
+        line_of = {"critical_numeric": "critical_batch_numeric",
+                   "critical_closed_form": "critical_batch_closed_form"}
+        assert row == [printed[line_of.get(column, column)] for column in header]
+
+    def test_capped_search_is_noted_on_stderr(self, tmp_path, capsys):
+        # The CSV holds a seeded case whose search stops at its evaluation
+        # cap; the report is written as for any fit, and stderr names the cap.
+        kind, points, inputs = capped_fit_case()
+        label = f"{kind}:{inputs.alpha!r}"
+        path = tmp_path / "capped.csv"
+        path.write_text(FIT_HEADER + "\n" + "".join(
+            f"{label},{inputs.eps!r},{int(b)},0,{k!r},false,,0.1,1\n" for b, k in points))
+        code = invoke(["fit", "--sweep-csv", str(path), "--schedule", kind,
+                       "--epsilon", repr(inputs.eps), "--sigma2", repr(inputs.sigma2),
+                       "--G", repr(inputs.grad_bound)])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert f"C1: {cli._fmt(experiment.fit_model(kind, points, inputs).c1)}" in out.splitlines()
+        assert err == ("note: the (C1, C2) search stopped at its cap: "
+                       "Maximum number of function evaluations has been exceeded.\n")
 
 
 # Fuzzing: whatever the bytes, the sweep-CSV reader raises only FormatError,

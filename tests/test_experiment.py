@@ -22,9 +22,9 @@ from spdsgd.experiment import (
     sweep,
 )
 from spdsgd.objective import Dataset, loss
-from spdsgd.rsgd import _KINDS, RunConfig, RunError, StepSchedule, hitting_steps, run
+from spdsgd.rsgd import _KINDS, RunConfig, RunError, StepSchedule, _descend, run
 
-from conftest import random_spd
+from conftest import capped_fit_case, random_fit_case, random_spd
 
 
 def cloud(rng, n, d, spread=0.4):
@@ -191,13 +191,13 @@ def count_calls(monkeypatch):
 
 
 class TestLockstep:
-    def test_cells_equal_separate_hitting_steps(self, rng):
+    def test_cells_equal_lone_skip_path_runs(self, rng):
         config = lockstep_config(rng)
         record = sweep(config)
         for schedule in config.schedules:
             for b in config.batch_sizes:
                 for seed in config.seeds:
-                    hits, final_f, _, _ = hitting_steps(lone_run(config, schedule, b, seed))
+                    ((hits, final_f, _, _, _),) = _descend([lone_run(config, schedule, b, seed)])
                     for e in config.epsilons:
                         cell = record.cells[(schedule.label, e, b, seed)]
                         assert (cell.steps, cell.final_f, cell.error) == (hits[e], final_f, None)
@@ -224,11 +224,11 @@ class TestLockstep:
                   if cell.error is not None}
         assert failed == {("constant:0.05", 4, 1), ("staircase:0.05,0.5,10,3", 4, 1)}
         for schedule in config.schedules[:2]:
-            with pytest.raises(RunError) as err:
-                hitting_steps(lone_run(config, schedule, 4, 1))
-            assert str(err.value) == "update failed at step 6: eigensolver stub failed"
+            (outcome,) = _descend([lone_run(config, schedule, 4, 1)])
+            assert isinstance(outcome, RunError)
+            assert str(outcome) == "update failed at step 6: eigensolver stub failed"
             for e in config.epsilons:
-                assert record.cells[(schedule.label, e, 4, 1)].error == str(err.value)
+                assert record.cells[(schedule.label, e, 4, 1)].error == str(outcome)
         for key, cell in record.cells.items():
             if (key[0], key[2], key[3]) not in failed:
                 assert (cell.steps, cell.final_f) == (clean.cells[key].steps, clean.cells[key].final_f)
@@ -537,49 +537,6 @@ def test_critical_batch_is_the_clamped_closed_form(kind, inputs, b_range):
     assert out.critical_at_boundary == (expected in (lo, hi))
 
 
-def random_fit_case(rng, case: int):
-    """One seeded fit problem: (kind, points, inputs, label).
-
-    Cases cycle through model-generated curves with and without noise, curves
-    whose C1 sits just inside the constant-step domain, flat K(b) (the fit
-    drives C1 to roundoff) and pure noise.
-    """
-    kind = ("constant", "staircase", "inverse_sqrt")[case % 3]
-    shape = ("model", "edge", "noisy", "model", "edge", "flat", "model", "edge", "noise",
-             "model", "edge", "model")[case // 3 % 12]
-    inputs = FitInputs(
-        sigma2=float(np.exp(rng.uniform(np.log(0.1), np.log(100.0)))),
-        grad_bound=float(rng.uniform(0.1, 2.0)),
-        alpha=float(np.exp(rng.uniform(np.log(1e-4), np.log(1e-2)))),
-        eps=float(np.exp(rng.uniform(np.log(0.01), np.log(1.0)))),
-        gamma=0.5,
-        max_stage=int(rng.integers(1, 6)),
-    )
-    p = np.sort(rng.choice(np.arange(1, 11), size=int(rng.integers(2, 8)), replace=False))
-    bs = 2.0**p
-    if shape == "flat":
-        ks = np.full(bs.shape, float(rng.integers(10, 5000)))
-    elif shape == "noise":
-        ks = np.exp(rng.uniform(0.0, 8.0, bs.shape))
-    else:
-        c2 = float(np.exp(rng.uniform(-2.0, 3.0)))
-        if kind == "inverse_sqrt":
-            c1 = float(np.exp(rng.uniform(-3.0, 3.0)))
-        else:
-            # A fraction of the largest C1 with a positive denominator at the smallest batch.
-            noise_term = inputs.sigma2 + inputs.grad_bound**2 * bs[0]
-            cap = inputs.eps * bs[0] / (inputs.alpha * noise_term)
-            if shape == "edge":
-                c1 = (1.0 - 10.0 ** rng.uniform(-6.0, -2.0)) * cap
-            else:
-                c1 = rng.uniform(0.01, 0.9) * cap
-        ks = model_steps(kind, bs, c1, c2, inputs)
-        if shape == "noisy":
-            ks = ks * np.exp(rng.normal(0.0, 0.2, bs.shape))
-    points = list(zip(bs.tolist(), np.atleast_1d(ks).tolist()))
-    return kind, points, inputs, f"case {case} {kind} {shape}"
-
-
 def capture_searches(monkeypatch):
     """Record (objective, start, result) of every simplex search fit_model makes.
 
@@ -639,6 +596,16 @@ def test_simplex_search_matches_scipy_bit_for_bit(monkeypatch):
             assert same_bits(ours, scipy_search(func, x0, maxiter, maxfev)), (
                 f"{label}, maxiter {maxiter}, maxfev {maxfev}")
     assert len(searches) == n_cases
+
+
+def test_fit_keeps_why_its_search_stopped():
+    kind, points, inputs = capped_fit_case()
+    fit = fit_model(kind, points, inputs)
+    assert fit.message == "Maximum number of function evaluations has been exceeded."
+    assert critical_batch(fit, (points[0][0], points[-1][0])).message == fit.message
+    inputs = FitInputs(sigma2=1.0, grad_bound=1.0, alpha=0.1, eps=0.5)
+    points = [(b, float(model_steps("constant", b, 2.0, 3.0, inputs))) for b in (1, 4, 16)]
+    assert fit_model("constant", points, inputs).message == "Optimization terminated successfully."
 
 
 def test_spearman_matches_scipy_with_ties():

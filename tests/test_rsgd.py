@@ -19,8 +19,8 @@ from spdsgd.rsgd import (
     RunConfig,
     RunError,
     StepSchedule,
+    _descend,
     _loss_lower_bound,
-    hitting_steps,
     reference_centroid,
     rsgd_step,
     run,
@@ -196,10 +196,10 @@ class TestRun:
         data = cloud(rng, 8, 3)
         with pytest.raises(ValueError):
             RunConfig(data, np.eye(3), StepSchedule.constant(0.1), 0, 0, 10)
-        with pytest.raises(ValueError, match="descending"):
-            RunConfig(
-                data, np.eye(3), StepSchedule.constant(0.1), 2, 0, 10, epsilons=(0.25, 0.5)
-            )
+        config = RunConfig(
+            data, np.eye(3), StepSchedule.constant(0.1), 2, 0, 10, epsilons=(0.25, 0.5, 0.25)
+        )
+        assert config.epsilons == (0.5, 0.25)
         with pytest.raises(ValueError, match="positive definite"):
             RunConfig(data, np.diag([1.0, -1.0, 1.0]), StepSchedule.constant(0.1), 2, 0, 10)
         with pytest.raises(ValueError, match="seed must be nonnegative"):
@@ -500,7 +500,7 @@ class TestHittingSteps:
             eps = (np.nextafter(f_k, np.inf), f_k, np.nextafter(f_k, -np.inf))
             config = RunConfig(data, far_start(), schedule, b, 3, 60, epsilons=eps)
             record = run(config)
-            hits, final_f, steps, _ = hitting_steps(config)
+            ((hits, final_f, _, steps, _),) = _descend([config])
             assert hits == record.steps_to_epsilon
             assert (final_f, steps) == (record.f[-1], record.steps)
 
@@ -535,7 +535,7 @@ class TestHittingSteps:
         for k in range(1, 9):
             eps = (np.nextafter(trace[k], np.inf), trace[k], np.nextafter(trace[k], -np.inf))
             config = RunConfig(data, x0, schedule, 1, 0, 9, epsilons=eps)
-            hits, final_f, steps, _ = hitting_steps(config)
+            ((hits, final_f, _, steps, _),) = _descend([config])
             assert hits == {eps[0]: k, eps[1]: k + 1, eps[2]: k + 1}
             assert (final_f, steps) == (trace[k + 1], k + 1)
         assert len(evaluated) < 4 * 8
@@ -551,7 +551,7 @@ class TestHittingSteps:
         for schedule in (StepSchedule.constant(0.005), StepSchedule.staircase(0.005, 0.5, 60, 4)):
             config = RunConfig(data, np.eye(5), schedule, 32, 0, 20_000, epsilons=eps)
             evaluated = count_evaluations(monkeypatch)
-            hits, _, steps, _ = hitting_steps(config)
+            ((hits, _, _, steps, _),) = _descend([config])
             assert hits[eps[1]] == steps
             assert len(evaluated) < (steps + 1) / 5
 
@@ -570,7 +570,7 @@ class TestHittingSteps:
                             lambda m, data: summaries.append(summary(m, data)) or summaries[-1])
         monkeypatch.setattr(rsgd, "_loss_lower_bound",
                             lambda anchor, y: fresh.append(last_roots(anchor)) or bound(anchor, y))
-        hitting_steps(config)
+        _descend([config])
         assert len(summaries) > 5 and len(fresh) > len(summaries)
         assert all(fresh)
 
@@ -585,7 +585,7 @@ class TestHittingSteps:
 
         monkeypatch.setattr(manifold, "_whitened_log", fail)
         evaluated = count_evaluations(monkeypatch)
-        hits, final_f, steps, _ = hitting_steps(config)
+        ((hits, final_f, _, steps, _),) = _descend([config])
         assert len(evaluated) == steps + 1
         assert (hits, final_f, steps) == (record.steps_to_epsilon, record.f[-1], record.steps)
 
@@ -596,7 +596,7 @@ class TestHittingSteps:
             data, far_start(), StepSchedule.constant(0.05), 4, 0, 400, epsilons=(0.35 * f0,)
         )
         evaluated = count_evaluations(monkeypatch)
-        hits, _, steps, _ = hitting_steps(config)
+        ((hits, _, _, steps, _),) = _descend([config])
         assert hits[0.35 * f0] == steps
         assert len(evaluated) < steps
 
@@ -607,7 +607,7 @@ class TestHittingSteps:
         )
         record = run(config)
         evaluated = count_evaluations(monkeypatch)
-        hits, final_f, steps, _ = hitting_steps(config)
+        ((hits, final_f, _, steps, _),) = _descend([config])
         assert hits == {1e-12: None} and steps == 40
         assert len(evaluated) < steps
         np.testing.assert_array_equal(evaluated[-1], record.final_point)
@@ -623,11 +623,11 @@ class TestHittingSteps:
 
     def test_failure_carries_state(self, rng):
         data = cloud(rng, 4, 3)
-        with pytest.raises(RunError) as err:
-            hitting_steps(
-                RunConfig(data, np.exp(40.0) * np.eye(3), StepSchedule.constant(1.0), 2, 0, 50)
-            )
-        assert np.all(np.isfinite(err.value.last_point))
+        (outcome,) = _descend(
+            [RunConfig(data, np.exp(40.0) * np.eye(3), StepSchedule.constant(1.0), 2, 0, 50)]
+        )
+        assert isinstance(outcome, RunError)
+        assert np.all(np.isfinite(outcome.last_point))
 
 
 class TestLossLowerBound:
