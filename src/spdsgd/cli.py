@@ -337,9 +337,8 @@ def cmd_sweep(args, parser) -> int:
 
     rows = [_SWEEP_HEADER]
     successes = 0
-    for key in record.keys_in_grid_order():
+    for key, cell in record.cells.items():
         label, e, b, seed = key
-        cell = record.cells[key]
         if cell.error is not None:
             rows.append([label, _fmt(e), b, seed, "error", "", "", "nan", "0"])
             print(f"cell {key}: error: {cell.error}", file=sys.stderr)

@@ -25,7 +25,6 @@ reported as lying on the boundary when the clamp lands on an end.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -62,7 +61,7 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "schedules", tuple(self.schedules))
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
+        object.__setattr__(self, "epsilons", tuple(dict.fromkeys(float(e) for e in self.epsilons)))
         object.__setattr__(self, "batch_sizes", tuple(int(b) for b in self.batch_sizes))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not self.schedules:
@@ -72,8 +71,6 @@ class SweepConfig:
             raise ValueError(f"schedules must be distinct, got labels {labels}")
         if not self.epsilons or not all(0 < e < np.inf for e in self.epsilons):
             raise ValueError("epsilons must be finite and positive")
-        if len(set(self.epsilons)) != len(self.epsilons):
-            raise ValueError("epsilons must be distinct")
         b = self.batch_sizes
         if not b or any(x < 1 for x in b) or any(p >= q for p, q in zip(b, b[1:])):
             raise ValueError("batch_sizes must be ascending, distinct, positive")
@@ -116,15 +113,10 @@ CellKey = tuple[str, float, int, int]  # (schedule label, epsilon, batch, seed)
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """A sweep's cells in grid order: ``product(schedules, epsilons, batch_sizes, seeds)``."""
+
     config: SweepConfig
     cells: dict[CellKey, CellResult] = field(repr=False)
-
-    def keys_in_grid_order(self) -> list[CellKey]:
-        c = self.config
-        return [
-            (s.label, e, b, seed)
-            for s, e, b, seed in product(c.schedules, c.epsilons, c.batch_sizes, c.seeds)
-        ]
 
     def aggregate(self, schedule_label: str, eps: float) -> list[tuple[int, float, float, int]]:
         """Per batch size: (b, mean K, median K, number censored-or-errored).
@@ -153,43 +145,23 @@ def sweep(config: SweepConfig) -> SweepRecord:
     taken in the tangent space of the last evaluated iterate, leaves a
     threshold within reach, and each cell's ``K`` and ``final_f`` equal
     :func:`spdsgd.rsgd.run`'s bit for bit.  Runs of one (batch, seed) share
-    their steps until their step sizes differ, ``x0`` is evaluated once,
-    and every step decomposes all runs' small matrices in a few stacked
-    calls.  A run that fails errors its own cells only.  ``wall_ms`` is the
-    time from the group's start until the run stopped.  With ``n_jobs >
-    1``, the (batch, seed) groups are dealt round-robin to ``min(n_jobs,
-    groups)`` threads, each advancing its share in lockstep.  Cells are
-    assembled in grid order, so the record is identical no matter how many
-    jobs execute concurrently.
+    their steps until their step sizes differ, ``x0`` is evaluated once per
+    thread, and every step decomposes all runs' small matrices in a few
+    stacked calls.  A run that fails errors its own cells only.  ``wall_ms``
+    is the time from the start of the ``_descend`` call until the run
+    stopped.  ``n_jobs`` is ``_descend``'s ``jobs``, so the runs of one
+    (batch, seed) share a thread.  Cells are filled in grid order, and each
+    cell's ``K`` and ``final_f`` are the same at any ``n_jobs``.
     """
-    runs = [
-        RunConfig(config.data, config.x0, s, b, seed, config.max_steps, config.epsilons)
-        for s, b, seed in product(config.schedules, config.batch_sizes, config.seeds)
-    ]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, r in enumerate(runs):
-        groups.setdefault((r.batch_size, r.seed), []).append(i)
-    workers = min(config.n_jobs, len(groups))
-    shares = [[i for g in list(groups.values())[w::workers] for i in g] for w in range(workers)]
-
-    def advance(share: list[int]) -> list:
-        return _descend([runs[i] for i in share])
-
-    if workers == 1:
-        results = [advance(shares[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(advance, shares))
-    outcomes = {}
-    for share, result in zip(shares, results):
-        for i, outcome in zip(share, result):
-            r = runs[i]
-            outcomes[(r.schedule.label, r.batch_size, r.seed)] = outcome
+    c = config
+    runs = {(s.label, b, seed): RunConfig(c.data, c.x0, s, b, seed, c.max_steps, c.epsilons)
+            for s, b, seed in product(c.schedules, c.batch_sizes, c.seeds)}
+    outcomes = dict(zip(runs, _descend(list(runs.values()), jobs=c.n_jobs)))
 
     cells: dict[CellKey, CellResult] = {}
-    for key in SweepRecord(config, cells).keys_in_grid_order():
-        label, e, b, seed = key
-        outcome = outcomes[(label, b, seed)]
+    for s, e, b, seed in product(c.schedules, c.epsilons, c.batch_sizes, c.seeds):
+        key = (s.label, e, b, seed)
+        outcome = outcomes[(s.label, b, seed)]
         if isinstance(outcome, RunError):
             cells[key] = CellResult(None, None, np.nan, 0.0, error=str(outcome))
             continue

@@ -14,6 +14,7 @@ and is bit-reproducible regardless of how many runs execute concurrently.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,7 +309,7 @@ class _Branch:
     anchor: tuple | None = None
 
 
-def _descend(configs: list[RunConfig], observe=None) -> list:
+def _descend(configs: list[RunConfig], observe=None, jobs: int = 1) -> list:
     """The RSGD loop, advancing every run of ``configs`` in lockstep.
 
     Returns one outcome per config: ``(steps_to_epsilon, final f, final
@@ -330,13 +331,17 @@ def _descend(configs: list[RunConfig], observe=None) -> list:
     Runs that differ only in their schedule share one state (a branch) while
     their step sizes are equal floats, and consecutive branches at equal
     points, such as all branches at a shared ``x0``, are evaluated once.
-    Each step makes one stacked ``eigh`` per kernel over all branches: the
-    bounds, the root pairs and the batch rows (at most ``N`` rows a call) of
-    the skipped iterates, and the exponential maps.  Full evaluations stay
+    Each step makes one stacked ``eigh`` per kernel over a thread's branches:
+    the bounds, the root pairs and the batch rows (at most ``N`` rows a call)
+    of the skipped iterates, and the exponential maps.  Full evaluations stay
     per branch.  A stacked kernel that fails is retried branch by branch, so
     that a failure stops only its own runs, with the message and step a lone
     run reports.  An evaluated branch keeps only its :func:`_anchor`: the
     summary goes once the batch gradient is taken from it.
+
+    ``jobs > 1`` deals the branches round-robin to ``min(jobs, branches)``
+    threads, each advancing its share in lockstep and evaluating a shared
+    ``x0`` itself; ``jobs = 1`` starts no thread.
     """
     data = configs[0].data
     if any(c.data is not data for c in configs):
@@ -371,76 +376,84 @@ def _descend(configs: list[RunConfig], observe=None) -> list:
         roots, tangents = _stack([m[2] for m in moves]), _stack([m[3] for m in moves])
         return _unstack(manifold._exp_map(roots, tangents))
 
-    k = 0
-    while branches:
-        # Which iterates skip their evaluation.
-        bounded = [br for br in branches if observe is None and k < br.config.max_steps
-                   and br.eps_left and br.anchor is not None]
-        skip = set()
-        for br, bound in zip(bounded, _each(bounds, bounded)):
-            if isinstance(bound, Exception):  # left for the full evaluation to report
-                continue
-            lb, scale = bound
-            if lb >= br.eps_left[0] * (1.0 + _BOUND_MARGIN) + _BOUND_MARGIN * scale:
-                skip.add(id(br))
+    def advance(branches: list[_Branch]) -> None:
+        k = 0
+        while branches:
+            # Which iterates skip their evaluation.
+            bounded = [br for br in branches if observe is None and k < br.config.max_steps
+                       and br.eps_left and br.anchor is not None]
+            skip = set()
+            for br, bound in zip(bounded, _each(bounds, bounded)):
+                if isinstance(bound, Exception):  # left for the full evaluation to report
+                    continue
+                lb, scale = bound
+                if lb >= br.eps_left[0] * (1.0 + _BOUND_MARGIN) + _BOUND_MARGIN * scale:
+                    skip.add(id(br))
 
-        # Evaluate the others; a run stops at its last iterate or its last hit,
-        # and otherwise takes its batch gradient from the summary.
-        def batch(br: _Branch) -> np.ndarray:
-            return objective.sample_batch(step_rng(br.config.seed, k), data.n,
-                                          br.config.batch_size)
+            # Evaluate the others; a run stops at its last iterate or its last hit,
+            # and otherwise takes its batch gradient from the summary.
+            def batch(br: _Branch) -> np.ndarray:
+                return objective.sample_batch(step_rng(br.config.seed, k), data.n,
+                                              br.config.batch_size)
 
-        last = (None, None)  # the point evaluated last, and its summary
-        grads, skipped = [], []
-        for br in branches:
-            if id(br) in skip:
-                skipped.append(br)
-                continue
-            point = br.x.tobytes()
-            try:
-                if point != last[0]:
-                    last = (point, objective.objective_summary(br.x, data))
-                summary = last[1]
-                if observe is not None:
-                    observe(summary)
-            except _STEP_FAILURES as exc:
-                stop(br, _failure("objective evaluation", k, br.x, exc))
-                continue
-            for e in list(br.eps_left):
-                if summary.value < e:
-                    br.hits[e] = k
-                    br.eps_left.remove(e)
-            if (br.config.epsilons and not br.eps_left) or k >= br.config.max_steps:
-                stop(br, (br.hits, summary.value, br.x, k, time.perf_counter() - t_start))
-                continue
-            br.anchor = _anchor(summary)
-            g = objective.batch_gradient_from_summary(summary, batch(br))
-            grads.append((br, (g, summary.roots)))
-        grads += zip(skipped, _each(batch_gradients, [(br, batch(br)) for br in skipped]))
+            last = (None, None)  # the point evaluated last, and its summary
+            grads, skipped = [], []
+            for br in branches:
+                if id(br) in skip:
+                    skipped.append(br)
+                    continue
+                point = br.x.tobytes()
+                try:
+                    if point != last[0]:
+                        last = (point, objective.objective_summary(br.x, data))
+                    summary = last[1]
+                    if observe is not None:
+                        observe(summary)
+                except _STEP_FAILURES as exc:
+                    stop(br, _failure("objective evaluation", k, br.x, exc))
+                    continue
+                for e in list(br.eps_left):
+                    if summary.value < e:
+                        br.hits[e] = k
+                        br.eps_left.remove(e)
+                if (br.config.epsilons and not br.eps_left) or k >= br.config.max_steps:
+                    stop(br, (br.hits, summary.value, br.x, k, time.perf_counter() - t_start))
+                    continue
+                br.anchor = _anchor(summary)
+                g = objective.batch_gradient_from_summary(summary, batch(br))
+                grads.append((br, (g, summary.roots)))
+            grads += zip(skipped, _each(batch_gradients, [(br, batch(br)) for br in skipped]))
 
-        # One exponential map per branch and distinct step size.
-        moves = []
-        for br, grad in grads:
-            if isinstance(grad, Exception):
-                stop(br, _failure("update", k, br.x, grad))
-                continue
-            g, roots = grad
-            by_alpha: dict[float, list[int]] = {}
-            for i in br.members:
-                by_alpha.setdefault(step_size(configs[i].schedule, k), []).append(i)
-            moves += [(br, members, roots, -a_k * g) for a_k, members in by_alpha.items()]
-        branches = []
-        for (br, members, _, _), x_next in zip(moves, _each(exp_maps, moves)):
-            if not isinstance(x_next, Exception) and not np.all(np.isfinite(x_next)):
-                x_next = FloatingPointError("iterate has non-finite entries")
-            child = _Branch(members, configs[members[0]], br.x, list(br.eps_left),
-                            dict(br.hits), br.anchor)
-            if isinstance(x_next, Exception):
-                stop(child, _failure("update", k, br.x, x_next))
-            else:
-                child.x = x_next
-                branches.append(child)
-        k += 1
+            # One exponential map per branch and distinct step size.
+            moves = []
+            for br, grad in grads:
+                if isinstance(grad, Exception):
+                    stop(br, _failure("update", k, br.x, grad))
+                    continue
+                g, roots = grad
+                by_alpha: dict[float, list[int]] = {}
+                for i in br.members:
+                    by_alpha.setdefault(step_size(configs[i].schedule, k), []).append(i)
+                moves += [(br, members, roots, -a_k * g) for a_k, members in by_alpha.items()]
+            branches = []
+            for (br, members, _, _), x_next in zip(moves, _each(exp_maps, moves)):
+                if not isinstance(x_next, Exception) and not np.all(np.isfinite(x_next)):
+                    x_next = FloatingPointError("iterate has non-finite entries")
+                child = _Branch(members, configs[members[0]], br.x, list(br.eps_left),
+                                dict(br.hits), br.anchor)
+                if isinstance(x_next, Exception):
+                    stop(child, _failure("update", k, br.x, x_next))
+                else:
+                    child.x = x_next
+                    branches.append(child)
+            k += 1
+
+    workers = min(jobs, len(branches))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(advance, [branches[w::workers] for w in range(workers)]))
+    else:
+        advance(branches)
     return outcomes
 
 

@@ -352,14 +352,14 @@ class TestRun:
         assert "error: --seed must be nonnegative" in capsys.readouterr().err
 
 
-def write_sweep(tmp_path, data, name="sweep.csv", jobs="1"):
+def write_sweep(tmp_path, data, name="sweep.csv", jobs="1", epsilons="0.9"):
     out = tmp_path / name
     code = invoke(
         [
             "sweep",
             "--data", str(data),
             "--schedule", "constant:0.05",
-            "--epsilons", "0.9",
+            "--epsilons", epsilons,
             "--batches", "2^2..2^4",
             "--seeds", "0,1",
             "--steps", "400",
@@ -369,6 +369,10 @@ def write_sweep(tmp_path, data, name="sweep.csv", jobs="1"):
     )
     assert code == 0
     return out
+
+
+def without_wall_ms(path):
+    return [ln.rsplit(",", 1)[0] for ln in path.read_text().splitlines()]
 
 
 class TestSweep:
@@ -387,8 +391,13 @@ class TestSweep:
         data = make_data(tmp_path)
         s1 = write_sweep(tmp_path, data, "s1.csv", jobs="1")
         s2 = write_sweep(tmp_path, data, "s2.csv", jobs="2")
-        strip = lambda p: [ln.rsplit(",", 1)[0] for ln in p.read_text().splitlines()]
-        assert strip(s1) == strip(s2)
+        assert without_wall_ms(s1) == without_wall_ms(s2)
+
+    def test_repeated_threshold_is_kept_once(self, tmp_path):
+        data = make_data(tmp_path)
+        once = write_sweep(tmp_path, data, "once.csv")
+        twice = write_sweep(tmp_path, data, "twice.csv", epsilons="0.9,0.9")
+        assert without_wall_ms(once) == without_wall_ms(twice)
 
     def test_negative_or_repeated_seeds_are_usage_errors(self, tmp_path, capsys):
         data = make_data(tmp_path)

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import weakref
+from itertools import product
 
 import numpy as np
 import pytest
 
-from spdsgd import experiment, manifold, objective, symmat
+from spdsgd import experiment, manifold, objective, rsgd, symmat
 from spdsgd.experiment import (
     FitDomainError,
     FitInputs,
@@ -51,16 +52,22 @@ def small_sweep_config(rng, **over):
 
 class TestSweep:
     def test_cell_cardinality(self, rng):
-        record = sweep(small_sweep_config(rng))
-        assert len(record.cells) == 1 * 1 * 2 * 2
-        assert list(record.cells) == record.keys_in_grid_order()
+        config = small_sweep_config(rng, schedules=(StepSchedule.constant(0.05),
+                                                    StepSchedule.inverse_sqrt()))
+        e = config.epsilons[0]
+        record = sweep(dataclasses.replace(config, epsilons=(e, 0.9 * e)))
+        assert len(record.cells) == 2 * 2 * 2 * 2
+        assert list(record.cells) == list(
+            product(("constant:0.05", "inverse_sqrt"), (e, 0.9 * e), (2, 4), (0, 1))
+        )
 
     def test_deterministic_and_parallelism_independent(self, rng):
         config1 = small_sweep_config(rng)
         config2 = SweepConfig(**{**config1.__dict__, "n_jobs": 3})
         r1, r2 = sweep(config1), sweep(config2)
-        for key in r1.keys_in_grid_order():
-            a, b = r1.cells[key], r2.cells[key]
+        assert list(r1.cells) == list(r2.cells)
+        for key, a in r1.cells.items():
+            b = r2.cells[key]
             assert (a.steps, a.sfo, a.error) == (b.steps, b.sfo, b.error)
             assert a.final_f == b.final_f  # bitwise: same float exactly
 
@@ -131,6 +138,8 @@ class TestSweep:
         for eps in ((np.nan,), (0.5, np.inf)):
             with pytest.raises(ValueError, match="finite"):
                 small_sweep_config(rng, epsilons=eps)
+        # Each threshold once, in first-seen order: the order of the CSV's rows.
+        assert small_sweep_config(rng, epsilons=(0.5, 0.25, 0.5)).epsilons == (0.5, 0.25)
 
     def test_config_rejects_repeated_cells(self, rng):
         with pytest.raises(ValueError, match="seeds must be distinct"):
@@ -287,12 +296,12 @@ class TestLockstep:
     def test_threads_never_outnumber_groups(self, rng, monkeypatch):
         workers = []
 
-        class Recording(experiment.ThreadPoolExecutor):
+        class Recording(rsgd.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 workers.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(experiment, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(rsgd, "ThreadPoolExecutor", Recording)
         config = small_sweep_config(rng, n_jobs=8)
         record = sweep(config)
         assert workers == [4]  # 2 batches x 2 seeds
@@ -300,6 +309,34 @@ class TestLockstep:
         assert workers == [4]
         for key, cell in record.cells.items():
             assert (cell.steps, cell.final_f) == (serial.cells[key].steps, serial.cells[key].final_f)
+
+    def test_threads_never_split_a_branch(self, rng, monkeypatch):
+        # The constant and the staircase share every step of a (batch, seed):
+        # dealt together, each thread evaluates only its own x0 once more.
+        config = small_sweep_config(
+            rng, schedules=(StepSchedule.constant(0.05), StepSchedule.staircase(0.05, 0.5, 40, 2)),
+            batch_sizes=(1, 4), seeds=(0, 1, 2), max_steps=40)
+        counts, records = [], []
+        for jobs in (1, 2, 4, 8):
+            points, _ = count_calls(monkeypatch)
+            records.append(sweep(dataclasses.replace(config, n_jobs=jobs)))
+            counts.append(len(points))
+        assert counts == [counts[0] + min(jobs, 2 * 3) - 1 for jobs in (1, 2, 4, 8)]
+        for record in records[1:]:
+            assert list(record.cells) == list(records[0].cells)
+            for key, cell in record.cells.items():
+                twin = records[0].cells[key]
+                assert (cell.steps, cell.sfo, cell.final_f, cell.error) == (
+                    twin.steps, twin.sfo, twin.final_f, twin.error)
+
+    def test_dealt_outcomes_equal_serial_ones(self, rng):
+        config = lockstep_config(rng)
+        pairs = ((1, 0), (4, 1), (19, 2), (1, 2), (4, 0))  # five branches of two runs
+        configs = [lone_run(config, s, b, seed) for b, seed in pairs for s in config.schedules[:2]]
+        serial, dealt = _descend(configs), _descend(configs, jobs=3)
+        for (hits, f, x, steps, _), (hits2, f2, x2, steps2, _) in zip(serial, dealt):
+            assert (hits, f, steps) == (hits2, f2, steps2)
+            assert np.array_equal(x, x2)
 
     def test_seeds_must_fit_a_philox_key(self, rng):
         small_sweep_config(rng, seeds=(0, 2**64 - 1))

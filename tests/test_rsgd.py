@@ -484,6 +484,8 @@ def count_evaluations(monkeypatch):
 
 
 class TestHittingSteps:
+    """``_descend``'s skip path: runs without an observer, as a sweep cell takes them."""
+
     SCHEDULES = (
         StepSchedule.constant(0.05),
         StepSchedule.inverse_sqrt(),
