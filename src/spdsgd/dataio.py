@@ -147,24 +147,35 @@ def pixel_features(image: np.ndarray) -> np.ndarray:
 
     Channels: ``[I, |dI/du|, |dI/dv|, |d2I/du2|, |d2I/dv2|]`` where ``u`` is
     the row axis and ``v`` the column axis.  Derivatives use central
-    differences with replicated borders.
+    differences with replicated borders.  The channels are written into one
+    preallocated ``(h, w, 5)`` float64 array, 40 bytes per pixel.
     """
     img = np.asarray(image, dtype=np.float64)
+    feats = np.empty(img.shape + (5,))
+    feats[..., 0] = img
     pad_u = np.pad(img, ((1, 1), (0, 0)), mode="edge")
     pad_v = np.pad(img, ((0, 0), (1, 1)), mode="edge")
-    du = 0.5 * (pad_u[2:, :] - pad_u[:-2, :])
-    dv = 0.5 * (pad_v[:, 2:] - pad_v[:, :-2])
-    duu = pad_u[2:, :] - 2.0 * img + pad_u[:-2, :]
-    dvv = pad_v[:, 2:] - 2.0 * img + pad_v[:, :-2]
-    return np.stack([img, np.abs(du), np.abs(dv), np.abs(duu), np.abs(dvv)], axis=-1)
+    np.abs(0.5 * (pad_u[2:, :] - pad_u[:-2, :]), out=feats[..., 1])
+    np.abs(0.5 * (pad_v[:, 2:] - pad_v[:, :-2]), out=feats[..., 2])
+    np.abs(pad_u[2:, :] - 2.0 * img + pad_u[:-2, :], out=feats[..., 3])
+    np.abs(pad_v[:, 2:] - 2.0 * img + pad_v[:, :-2], out=feats[..., 4])
+    return feats
+
+
+def _feature_ridge(feats: np.ndarray) -> float:
+    mean_var = float(np.mean(np.var(feats.reshape(-1, 5), axis=0)))
+    return 1e-6 * mean_var if mean_var > 0 else 1e-6
 
 
 def default_regularization(image: np.ndarray) -> float:
     """Scale-aware ridge: 1e-6 times the mean feature variance over the image
     (absolute 1e-6 for degenerate images with no variation)."""
-    feats = pixel_features(image).reshape(-1, 5)
-    mean_var = float(np.mean(np.var(feats, axis=0)))
-    return 1e-6 * mean_var if mean_var > 0 else 1e-6
+    return _feature_ridge(pixel_features(image))
+
+
+# Feature bytes per band of cell rows in covariance_descriptors; the band's
+# tiled copy and its centered copy are the only temporaries of that size.
+_BAND_BYTES = 1 << 18
 
 
 def covariance_descriptors(
@@ -178,8 +189,15 @@ def covariance_descriptors(
     vectors plus ``regularization`` times the identity; a 128x128 image with
     4x4 cells yields 1024 descriptors.  With zero regularization, a cell of
     constant features has a singular covariance and is rejected by name.
+
+    The features are computed once, and the default ridge is read from
+    them.  Working memory is about two feature arrays (80 bytes per pixel,
+    while the ridge's variance is taken) plus the ``(cells, 5, 5)`` output:
+    the covariances are built one band of cell rows at a time, with two
+    band-sized (256 KiB) temporaries.  At ``cell = 4`` the traced peak is
+    5.4 MB for a 256x256 image and 336 MB for a 2048x2048 one.
     """
-    img = np.asarray(image, dtype=np.float64)
+    img = np.asarray(image)
     if img.ndim != 2:
         raise ValueError("image must be 2-d")
     h, w = img.shape
@@ -187,18 +205,24 @@ def covariance_descriptors(
         raise ValueError(f"cell size {cell} is below 2: a one-pixel cell has no sample covariance")
     if w % cell or h % cell:
         raise ValueError(f"cell size {cell} does not divide image {w}x{h}")
+    feats = pixel_features(img)
     if regularization is None:
-        regularization = default_regularization(img)
+        regularization = _feature_ridge(feats)
     if not 0 <= regularization < np.inf:
         raise ValueError(f"regularization must be finite and nonnegative, got {regularization}")
 
-    feats = pixel_features(img)
-    # (rows of cells, cell, cols of cells, cell, 5) -> (cells, pixels-per-cell, 5)
-    tiled = feats.reshape(h // cell, cell, w // cell, cell, 5).transpose(0, 2, 1, 3, 4)
-    cells = tiled.reshape(-1, cell * cell, 5)
-    centered = cells - cells.mean(axis=1, keepdims=True)
-    covs = np.einsum("cpi,cpj->cij", centered, centered) / (cell * cell - 1)
-    covs = covs + regularization * np.eye(5)
+    rows, cols = h // cell, w // cell
+    covs = np.empty((rows * cols, 5, 5))
+    band = max(1, _BAND_BYTES // feats[:cell].nbytes)
+    for top in range(0, rows, band):
+        stop = min(top + band, rows)
+        # (rows of cells, cell, cols of cells, cell, 5) -> (cells, pixels-per-cell, 5)
+        tiled = feats[top * cell : stop * cell].reshape(stop - top, cell, cols, cell, 5)
+        cells = tiled.transpose(0, 2, 1, 3, 4).reshape(-1, cell * cell, 5)
+        centered = cells - cells.mean(axis=1, keepdims=True)
+        np.einsum("cpi,cpj->cij", centered, centered, out=covs[top * cols : stop * cols])
+    covs /= cell * cell - 1
+    covs += regularization * np.eye(5)
     try:
         return Dataset(covs)
     except DomainError as exc:
@@ -214,13 +238,24 @@ def covariance_descriptors(
 # ---------------------------------------------------------------------------
 
 
+# Matrices formatted per write in write_matrix_set.
+_WRITE_CHUNK = 256
+
+
 def write_matrix_set(path, data: Dataset) -> None:
     """Write a dataset in the plain-text matrix-set format (17 significant
-    digits, lossless for float64)."""
+    digits, lossless for float64).
+
+    The matrices are formatted and written 256 at a time, so only one
+    chunk's text is held: writing 4096 5x5 matrices (a 2.1 MB file) peaks
+    at 0.41 MB traced.
+    """
     row = " ".join(["%.17g"] * data.dim) + "\n"
-    body = (row * (data.n * data.dim)) % tuple(data.points.ravel().tolist())
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{data.dim} {data.n}\n{body}")
+        fh.write(f"{data.dim} {data.n}\n")
+        for start in range(0, data.n, _WRITE_CHUNK):
+            chunk = data.points[start : start + _WRITE_CHUNK]
+            fh.write((row * (len(chunk) * data.dim)) % tuple(chunk.ravel().tolist()))
 
 
 def read_matrix_set(path) -> Dataset:

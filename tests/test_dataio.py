@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from spdsgd import manifold
 from spdsgd.dataio import (
+    _BAND_BYTES,
+    _WRITE_CHUNK,
     DataError,
     FormatError,
     covariance_descriptors,
@@ -20,6 +24,42 @@ from spdsgd.objective import Dataset
 from spdsgd.rsgd import reference_centroid
 
 from conftest import random_spd
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it allocated above what was live before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def one_shot_descriptors(img: np.ndarray, g: int, reg: float | None) -> np.ndarray:
+    """The descriptors as one whole-image formula: stacked features, one tile
+    reshape of the whole image, one einsum, then the ridge (by default 1e-6
+    times the mean feature variance)."""
+    pad_u = np.pad(img, ((1, 1), (0, 0)), mode="edge")
+    pad_v = np.pad(img, ((0, 0), (1, 1)), mode="edge")
+    feats = np.stack([img,
+                      np.abs(0.5 * (pad_u[2:, :] - pad_u[:-2, :])),
+                      np.abs(0.5 * (pad_v[:, 2:] - pad_v[:, :-2])),
+                      np.abs(pad_u[2:, :] - 2.0 * img + pad_u[:-2, :]),
+                      np.abs(pad_v[:, 2:] - 2.0 * img + pad_v[:, :-2])], axis=-1)
+    if reg is None:
+        mean_var = float(np.mean(np.var(feats.reshape(-1, 5), axis=0)))
+        reg = 1e-6 * mean_var if mean_var > 0 else 1e-6
+    h, w = img.shape
+    cells = feats.reshape(h // g, g, w // g, g, 5).transpose(0, 2, 1, 3, 4).reshape(-1, g * g, 5)
+    centered = cells - cells.mean(axis=1, keepdims=True)
+    covs = np.einsum("cpi,cpj->cij", centered, centered) / (g * g - 1)
+    return covs + reg * np.eye(5)
 
 
 class TestGenerateSynthetic:
@@ -198,6 +238,28 @@ class TestDescriptors:
         data = covariance_descriptors(img, 4)
         assert np.all(np.linalg.eigvalsh(data.points)[:, 0] > 0)
 
+    # Without a ridge a 2x2 cell's covariance has rank 3 of 5 and is rejected.
+    @pytest.mark.parametrize("g, reg", [(g, reg) for g in (2, 3, 4, 5, 16)
+                                        for reg in (None, 0.0, 0.25) if (g, reg) != (2, 0.0)])
+    @pytest.mark.parametrize("shape", ["one_row", "rectangular", "several_bands"])
+    def test_every_float_matches_one_shot_formula(self, rng, g, shape, reg):
+        cols = 3
+        rows = {"one_row": 1, "rectangular": 7,
+                "several_bands": 2 * (_BAND_BYTES // (g * g * cols * 5 * 8)) + 1}[shape]
+        img = rng.integers(0, 256, size=(rows * g, cols * g)).astype(float)
+        img[0, 0] = 1e5 * rng.standard_normal()  # entries of mixed scale
+        data = covariance_descriptors(img, g, reg)
+        assert np.array_equal(data.points, one_shot_descriptors(img, g, reg))
+        if reg is None:
+            pipeline = one_shot_descriptors(img, g, default_regularization(img))
+            assert np.array_equal(data.points, pipeline)
+
+    def test_working_memory_is_about_two_feature_arrays(self, rng):
+        img = rng.integers(0, 256, size=(256, 256)).astype(float)
+        data, peak = traced_peak(covariance_descriptors, img, 4)
+        feature_bytes = img.size * 5 * 8
+        assert peak <= 2.2 * feature_bytes + data.points.nbytes
+
 
 class TestMatrixSetFile:
     def test_roundtrip_bitwise(self, tmp_path, rng):
@@ -208,25 +270,33 @@ class TestMatrixSetFile:
         np.testing.assert_array_equal(back.points, data.points)
 
     def test_bytes_match_per_value_format(self, tmp_path, rng):
-        # The whole file is one %-format call; its bytes are those of
-        # format(x, ".17g") per value, for every kind of float64 entry.
-        n, d = 40, 4
-        off = rng.standard_normal((n, d, d)) * 10.0 ** rng.uniform(-8, 8, (n, d, d))
-        kind = rng.integers(0, 5, (n, d, d))
-        off = np.select([kind == 0, kind == 1, kind == 2],
-                        [np.round(off), np.sign(off) * 1e-300, np.sign(off) * 5e-324], off)
-        off = np.triu(off, 1)
-        off = off + off.transpose(0, 2, 1)
-        diag = np.ceil(np.abs(off).sum(axis=2)) + rng.integers(1, 100, (n, d))
-        diag[0] = 1e308
-        off[0] = -np.triu(np.full((d, d), 1e306), 1) - np.tril(np.full((d, d), 1e306), -1)
-        data = Dataset(off + diag[:, :, None] * np.eye(d))
+        # Each write chunk is one %-format call; the file's bytes are those
+        # of format(x, ".17g") per value, for every kind of float64 entry,
+        # with one chunk and with a file that spans three.
+        d = 4
+        for n in (40, 2 * _WRITE_CHUNK + 3):
+            off = rng.standard_normal((n, d, d)) * 10.0 ** rng.uniform(-8, 8, (n, d, d))
+            kind = rng.integers(0, 5, (n, d, d))
+            off = np.select([kind == 0, kind == 1, kind == 2],
+                            [np.round(off), np.sign(off) * 1e-300, np.sign(off) * 5e-324], off)
+            off = np.triu(off, 1)
+            off = off + off.transpose(0, 2, 1)
+            diag = np.ceil(np.abs(off).sum(axis=2)) + rng.integers(1, 100, (n, d))
+            diag[0] = 1e308
+            off[0] = -np.triu(np.full((d, d), 1e306), 1) - np.tril(np.full((d, d), 1e306), -1)
+            data = Dataset(off + diag[:, :, None] * np.eye(d))
+            path = tmp_path / "set.msf"
+            write_matrix_set(path, data)
+            lines = [f"{d} {n}"] + [" ".join(format(x, ".17g") for x in row)
+                                    for a in data.points for row in a]
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+            np.testing.assert_array_equal(read_matrix_set(path).points, data.points)
+
+    def test_writer_holds_one_chunk(self, tmp_path, rng):
+        data = Dataset(np.stack([random_spd(rng, 5) for _ in range(4096)]))
         path = tmp_path / "set.msf"
-        write_matrix_set(path, data)
-        lines = [f"{d} {n}"] + [" ".join(format(x, ".17g") for x in row)
-                                for a in data.points for row in a]
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
-        np.testing.assert_array_equal(read_matrix_set(path).points, data.points)
+        _, peak = traced_peak(write_matrix_set, path, data)
+        assert peak <= path.stat().st_size / 2
 
     def test_comments_ignored(self, tmp_path):
         path = tmp_path / "c.msf"
