@@ -13,11 +13,12 @@ found before any input is read), 2 usage error.  All randomness flows from
 ``--seed``; numbers are printed with 17 significant digits and a ``.``
 decimal separator regardless of locale.
 
-Each flag's default lives in its ``add_argument``, and each list flag is
-parsed by its argparse ``type``, so bad flag text is a usage error.  For
-``gen``, ``run`` and ``sweep``, a JSON object in ``--config`` sets the
-defaults of any flag but ``--config`` and ``--out``, keyed by the flag's
-name or dest and parsed by the flag's own ``type``; explicit flags win.
+Each flag's default lives in its ``add_argument``, and its rule, grammar and
+range, in its argparse ``type``, so bad flag text is a usage error naming
+the flag.  For ``gen``, ``run`` and ``sweep``, a JSON object in ``--config``
+sets the defaults of any flag but ``--config`` and ``--out``, keyed by the
+flag's name or dest and parsed by the flag's own ``type``; explicit flags
+win.
 ``fit`` reads the schedule's parameters from its label in the sweep CSV
 (:meth:`StepSchedule.parse`).
 """
@@ -85,19 +86,28 @@ def _flag_type(parse):
     return flag_type
 
 
-@_flag_type
-def float_list(text: str) -> list[float]:
-    """Nonempty comma list of finite positive numbers: ``0.5,0.25``."""
-    values = [float(t) for t in text.split(",") if t.strip()]
-    if not values or not all(0 < v < math.inf for v in values):
-        raise ValueError(f"expected a nonempty list of finite positive numbers, got {text!r}")
-    return values
+def _number(kind, low, high=math.inf, *, strict=False, many=False):
+    """The argparse type of a ``kind`` (int or float) number ``v`` with
+    ``low <= v < high``, or ``low < v < high`` if ``strict``; with ``many``,
+    of a nonempty comma list of them: ``0.5,0.25``."""
+    what = f"{'a finite number' if kind is float else 'an integer'} "
+    what += f"{'above' if strict else 'of at least'} {low}"
+    if high < math.inf:
+        what += f" and below {high}"
+    if many:
+        what = f"a nonempty comma list, each {what}"
 
+    @_flag_type
+    def number(text: str):
+        try:
+            values = [kind(t) for t in text.split(",") if t.strip()] if many else [kind(text)]
+        except ValueError:
+            values = []
+        if not values or not all((low < v if strict else low <= v) and v < high for v in values):
+            raise ValueError(f"expected {what}, got {text!r}")
+        return values if many else values[0]
 
-@_flag_type
-def int_list(text: str) -> list[int]:
-    """Comma list of integers: ``0,1,2``."""
-    return [int(t) for t in text.split(",") if t.strip()]
+    return number
 
 
 @_flag_type
@@ -112,7 +122,7 @@ def parse_batches(text: str) -> list[int]:
         if not 0 <= lo <= hi <= 62:  # past 2^62 a range only builds huge integers
             raise ValueError(f"batch range needs 0 <= a <= b <= 62, got {text!r}")
         return [2**p for p in range(lo, hi + 1)]
-    return int_list(text)
+    return _number(int, 1, many=True)(text)
 
 
 @_flag_type
@@ -134,26 +144,12 @@ def batch_range(text: str) -> tuple[float, float]:
 
 
 @_flag_type
-def _positive(text: str) -> float:
-    """A finite number above 0: ``gen --spread``."""
-    if not 0 < (value := float(text)) < math.inf:
-        raise ValueError(f"expected a finite number above 0, got {text!r}")
-    return value
-
-
-@_flag_type
-def _nonnegative(text: str) -> float:
-    """A finite number of at least 0: ``descriptors --reg``."""
-    if not 0 <= (value := float(text)) < math.inf:
-        raise ValueError(f"expected a finite number of at least 0, got {text!r}")
-    return value
-
-
-@_flag_type
 def center_spec(text: str) -> str | float:
     """``identity``, a matrix-set file, or ``scale:X`` with finite ``X > 0``,
     given as X; the file is read, and checked against ``--d``, by ``gen``."""
-    return _positive(text[len("scale:"):]) if text.startswith("scale:") else text
+    if text.startswith("scale:"):
+        return _number(float, 0, strict=True)(text[len("scale:"):])
+    return text
 
 
 class _Repeatable(argparse.Action):
@@ -221,13 +217,6 @@ def _center_matrix(center: str | float, dim: int):
 
 
 def cmd_gen(args, parser) -> int:
-    if args.n < 1 or args.d < 1:
-        parser.error("--n and --d must be positive")
-    if args.seed < 0:
-        parser.error("--seed must be nonnegative")
-    if args.seed >= rsgd._SEED_LIMIT:
-        parser.error("--seed must be below 2^64")
-
     center = _center_matrix(args.center, args.d)
     rng = Generator(Philox(key=np.uint64(args.seed)))
     data = dataio.generate_synthetic(rng, args.n, args.d, center, args.spread)
@@ -262,15 +251,6 @@ def cmd_descriptors(args, parser) -> int:
 def cmd_run(args, parser) -> int:
     if args.data is None:
         parser.error("--data is required")
-    if args.batch < 1:
-        parser.error("--batch must be positive")
-    if args.steps < 0:
-        parser.error("--steps must be nonnegative")
-    if args.seed < 0:
-        parser.error("--seed must be nonnegative")
-    if args.seed >= rsgd._SEED_LIMIT:
-        parser.error("--seed must be below 2^64")
-
     data = dataio.read_matrix_set(args.data)
     period = math.ceil(data.n / args.batch) if args.T is None else args.T
     try:
@@ -312,13 +292,6 @@ def cmd_run(args, parser) -> int:
 def cmd_sweep(args, parser) -> int:
     if args.data is None:
         parser.error("--data is required")
-    if args.steps < 1:
-        parser.error("--steps must be positive")
-    if args.jobs < 1:
-        parser.error("--jobs must be positive")
-    if any(seed >= rsgd._SEED_LIMIT for seed in args.seeds):
-        parser.error("--seeds must be below 2^64")
-
     data = dataio.read_matrix_set(args.data)
     try:
         config = experiment.SweepConfig(
@@ -398,11 +371,6 @@ def _read_sweep_csv(path: str) -> tuple[dict[str, StepSchedule], list[tuple]]:
 
 
 def cmd_fit(args, parser) -> int:
-    if not (0 <= args.sigma2 < math.inf and 0 <= args.G and args.G * args.G < math.inf
-            and 0 < args.epsilon < math.inf):
-        parser.error("--sigma2/--G must be finite and nonnegative (--G with a finite square), "
-                     "--epsilon finite and positive")
-
     schedules, rows = _read_sweep_csv(args.sweep_csv)
     matches = [label for label, s in sorted(schedules.items())
                if args.schedule in (label, s.kind)]
@@ -482,16 +450,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mini-batch Riemannian SGD on the SPD manifold",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    count, seed = _number(int, 1), _number(int, 0, rsgd._SEED_LIMIT)
+    positive, nonnegative = _number(float, 0, strict=True), _number(float, 0)
+    epsilons = _number(float, 0, strict=True, many=True)
 
     p = sub.add_parser("gen", help="synthesize an SPD matrix set")
-    p.add_argument("--n", type=int, default=256, help="number of matrices (default %(default)s)")
-    p.add_argument("--d", type=int, default=5, help="matrix dimension (default %(default)s)")
-    p.add_argument("--spread", type=_positive, default=0.5,
+    p.add_argument("--n", type=count, default=256, help="number of matrices (default %(default)s)")
+    p.add_argument("--d", type=count, default=5, help="matrix dimension (default %(default)s)")
+    p.add_argument("--spread", type=positive, default=0.5,
                    help="tangent noise scale (default %(default)s)")
     p.add_argument("--center", type=center_spec, default="identity",
                    help="'identity', 'scale:X', or a matrix-set file with one matrix "
                         "(default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
+    p.add_argument("--seed", type=seed, default=0, help="random seed (default %(default)s)")
     p.add_argument("--config", help="JSON file of flag defaults (explicit flags win)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen, parser=p)
@@ -500,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pgm", required=True)
     p.add_argument("--grid", type=int, default=4,
                    help="cell side in pixels, at least 2 (default %(default)s)")
-    p.add_argument("--reg", type=_nonnegative, default=None,
+    p.add_argument("--reg", type=nonnegative, default=None,
                    help="ridge added to each descriptor (default: scale-aware)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_descriptors, parser=p)
@@ -515,11 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=None,
                    help="staircase stage length (default: one pass over the data)")
     p.add_argument("--n", type=int, default=10, help="staircase stage cap (default %(default)s)")
-    p.add_argument("--batch", type=int, default=16, help="batch size (default %(default)s)")
-    p.add_argument("--steps", type=int, default=10_000, help="step budget (default %(default)s)")
-    p.add_argument("--epsilons", type=float_list, default="0.5,0.25",
+    p.add_argument("--batch", type=count, default=16, help="batch size (default %(default)s)")
+    p.add_argument("--steps", type=_number(int, 0), default=10_000,
+                   help="step budget (default %(default)s)")
+    p.add_argument("--epsilons", type=epsilons, default="0.5,0.25",
                    help="comma list of loss thresholds (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
+    p.add_argument("--seed", type=seed, default=0, help="random seed (default %(default)s)")
     p.add_argument("--config", help="JSON file of flag defaults (explicit flags win)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run, parser=p)
@@ -530,13 +502,15 @@ def build_parser() -> argparse.ArgumentParser:
                    default="constant:0.0005",
                    help="repeatable: constant:A | inverse_sqrt | staircase:A,G,T,N "
                         "(default %(default)s)")
-    p.add_argument("--epsilons", type=float_list, default="0.5,0.25",
+    p.add_argument("--epsilons", type=epsilons, default="0.5,0.25",
                    help="comma list (default %(default)s)")
     p.add_argument("--batches", type=parse_batches, default="2^4..2^9",
                    help="comma list or 2^a..2^b (default %(default)s)")
-    p.add_argument("--seeds", type=int_list, default="0,1", help="comma list (default %(default)s)")
-    p.add_argument("--steps", type=int, default=10_000, help="per-run budget (default %(default)s)")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent runs (default %(default)s)")
+    p.add_argument("--seeds", type=_number(int, 0, rsgd._SEED_LIMIT, many=True), default="0,1",
+                   help="comma list (default %(default)s)")
+    p.add_argument("--steps", type=count, default=10_000,
+                   help="per-run budget (default %(default)s)")
+    p.add_argument("--jobs", type=count, default=1, help="concurrent runs (default %(default)s)")
     p.add_argument("--config", help="JSON file of flag defaults (explicit flags win)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep, parser=p)
@@ -546,10 +520,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", required=True,
                    help="schedule label from the CSV, or its kind if unambiguous; the fit "
                         "takes alpha, gamma and the stage cap from the label")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--sigma2", type=float, required=True,
+    p.add_argument("--epsilon", type=positive, required=True)
+    p.add_argument("--sigma2", type=nonnegative, required=True,
                    help="single-sample gradient variance at the start point")
-    p.add_argument("--G", type=float, required=True, help="gradient-norm bound along the runs")
+    p.add_argument("--G", type=nonnegative, required=True,
+                   help="gradient-norm bound along the runs")
     p.add_argument("--b-range", dest="b_range", type=batch_range,
                    help="lo:hi with 0 < lo < hi (default: the CSV's batch range)")
     p.add_argument("--out", help="optional CSV with the fit row")

@@ -305,6 +305,7 @@ def read_matrix_set(path) -> Dataset:
                 values[i, r] = [float(p) for p in parts]
             except ValueError as exc:
                 raise FormatError(f"matrix {i} row {r}: non-numeric entry") from exc
+    del rows, body  # the text lines outweigh the values: release them before the checks
     with np.errstate(invalid="ignore"):  # nan and inf entries are rejected below
         scale = np.maximum(1.0, np.max(np.abs(values), axis=(1, 2)))
         skew = np.max(np.abs(values - values.transpose(0, 2, 1)), axis=(1, 2))

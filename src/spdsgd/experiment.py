@@ -31,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from .objective import Dataset
-from .rsgd import RunConfig, RunError, StepSchedule, _SEED_LIMIT, _descend
+from .rsgd import RunConfig, RunError, StepSchedule, _SEED_LIMIT, _descend, _integer
 from .rsgd import run  # noqa: F401  (bench/test_bench_harness.py traces this binding)
 
 
@@ -62,8 +62,10 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "schedules", tuple(self.schedules))
         object.__setattr__(self, "epsilons", tuple(dict.fromkeys(float(e) for e in self.epsilons)))
-        object.__setattr__(self, "batch_sizes", tuple(int(b) for b in self.batch_sizes))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "batch_sizes",
+                           tuple(_integer(b, "batch size") for b in self.batch_sizes))
+        object.__setattr__(self, "seeds", tuple(_integer(s, "seed") for s in self.seeds))
+        object.__setattr__(self, "max_steps", _integer(self.max_steps, "max_steps"))
         if not self.schedules:
             raise ValueError("at least one schedule required")
         labels = [s.label for s in self.schedules]

@@ -13,6 +13,7 @@ and is bit-reproducible regardless of how many runs execute concurrently.
 
 from __future__ import annotations
 
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,13 +23,21 @@ from numpy.random import Generator, Philox
 
 from . import manifold, objective, symmat
 from .objective import Dataset
-from .symmat import NumericalError
+from .symmat import DomainError, NumericalError
 
-_STEP_FAILURES = (ValueError, FloatingPointError, NumericalError)
+_STEP_FAILURES = (DomainError, FloatingPointError, NumericalError)  # the geometry's own failures
 
 _ORACLE_MAX_ITERS = 1_000_000
 
 _SEED_LIMIT = 2**64  # seeds key a Philox generator with one 64-bit word
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a float, which Philox or a step count would truncate, is a TypeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 class ConvergenceError(RuntimeError):
@@ -40,7 +49,7 @@ class ConvergenceError(RuntimeError):
 
 
 class RunError(RuntimeError):
-    """A geometry failure occurred mid-run; carries the last good state."""
+    """A geometry failure occurred mid-run, and only that; carries the last good state."""
 
     def __init__(self, message: str, step: int, last_point: np.ndarray):
         super().__init__(message)
@@ -172,7 +181,14 @@ class RunConfig:
     reference: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", manifold.validate_spd(self.x0, name="x0"))
+        shape = self.data.points.shape[1:]
+        for name in ("x0",) if self.reference is None else ("x0", "reference"):
+            m = manifold.validate_spd(getattr(self, name), name=name)
+            if m.shape != shape:
+                raise ValueError(f"{name} must have the data's shape {shape}, got {m.shape}")
+            object.__setattr__(self, name, m)
+        for name in ("batch_size", "seed", "max_steps"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.seed < 0:
@@ -185,10 +201,6 @@ class RunConfig:
         if not all(0.0 < e < np.inf for e in eps):
             raise ValueError("epsilons must be finite and strictly positive")
         object.__setattr__(self, "epsilons", eps)
-        if self.reference is not None:
-            object.__setattr__(
-                self, "reference", manifold.validate_spd(self.reference, name="reference")
-            )
 
 
 @dataclass(frozen=True)
@@ -314,8 +326,10 @@ def _descend(configs: list[RunConfig], observe=None, jobs: int = 1) -> list:
 
     Returns one outcome per config: ``(steps_to_epsilon, final f, final
     point, steps, seconds)``, the seconds counted from this call's start until
-    the run stopped, or the :class:`RunError` that stopped it.  The configs
-    must share one dataset.  Each run's floats are those it has alone.
+    the run stopped, or the :class:`RunError` that stopped it.  A RunError
+    stands only for a geometry failure (``_STEP_FAILURES``); any other
+    exception, such as a caller's ValueError, is raised as it is.  The
+    configs must share one dataset.  Each run's floats are those it has alone.
 
     With ``observe``, every iterate is evaluated and its summary passed to
     ``observe``.  Without, a run with thresholds evaluates only its last
@@ -464,9 +478,11 @@ def run(config: RunConfig) -> RunRecord:
     every threshold in ``epsilons``.  ``steps_to_epsilon[eps]`` is the first
     iterate index with ``f(x_k) < eps`` (None if never reached).  The loss,
     the gradient norm and, with a reference point, the stationarity gap and
-    the distance to the reference are evaluated at every iterate.  A failed
-    evaluation or update, or a non-finite iterate, raises :class:`RunError`
-    carrying the last finite iterate.  A sweep runs the same loop,
+    the distance to the reference are evaluated at every iterate.  A geometry
+    failure in an evaluation or update (an eigenvalue outside its function's
+    domain, an eigensolver that did not converge, or a non-finite iterate)
+    raises :class:`RunError` carrying the last finite iterate; any other
+    exception is raised as it is.  A sweep runs the same loop,
     :func:`_descend`, for the hits alone.
     """
     rows: list[tuple[float, float, float, float, float]] = []

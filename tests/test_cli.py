@@ -47,11 +47,29 @@ def test_help_exits_zero(command, capsys):
           "--sigma2", "1", "--G", "1", "--b-range", "16"], "--b-range"),
         (["fit", "--sweep-csv", "x.csv", "--schedule", "constant", "--epsilon", "0.5",
           "--sigma2", "1", "--G", "1", "--b-range", "10:4"], "--b-range"),
+        (["gen", "--n", "0"], "--n"),
+        (["gen", "--d", "-1"], "--d"),
+        (["gen", "--n", "1.5"], "--n"),
+        (["run", "--data", "x.msf", "--batch", "0"], "--batch"),
+        (["run", "--data", "x.msf", "--steps", "-1"], "--steps"),
+        (["sweep", "--data", "x.msf", "--steps", "0"], "--steps"),
+        (["sweep", "--data", "x.msf", "--jobs", "0"], "--jobs"),
+        (["sweep", "--data", "x.msf", "--batches", "0,4"], "--batches"),
+        # Checked as the flag is parsed, before the missing --data file is read.
+        (["sweep", "--data", "missing.msf", "--seeds=-1,0"], "--seeds"),
+        (["fit", "--sweep-csv", "x.csv", "--schedule", "constant", "--epsilon", "0",
+          "--sigma2", "1", "--G", "1"], "--epsilon"),
+        (["fit", "--sweep-csv", "x.csv", "--schedule", "constant", "--epsilon", "0.5",
+          "--sigma2", "-1", "--G", "1"], "--sigma2"),
+        (["fit", "--sweep-csv", "x.csv", "--schedule", "constant", "--epsilon", "0.5",
+          "--sigma2", "1", "--G", "-1"], "--G"),
     ],
     ids=["seeds", "epsilons", "epsilons-non-finite", "epsilons-nan", "epsilons-empty",
          "epsilons-negative", "center-not-a-number", "center-zero", "center-nan",
          "spread-nan", "spread-inf", "spread-zero", "reg-nan", "reg-inf", "reg-negative",
-         "b-range-single", "b-range-reversed"],
+         "b-range-single", "b-range-reversed", "n-zero", "d-negative", "n-not-an-integer",
+         "batch-zero", "run-steps-negative", "sweep-steps-zero", "jobs-zero", "batches-zero",
+         "seeds-negative-before-data", "epsilon-zero", "sigma2-negative", "G-negative"],
 )
 def test_bad_flag_text_is_usage_error(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -76,7 +94,8 @@ def test_seed_beyond_64_bits_is_usage_error(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         invoke([*argv, "--out", str(tmp_path / "o.csv")])
     assert exc.value.code == 2
-    assert f"error: {flag} must be below 2^64" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and f"below {2**64}" in err
 
 
 def test_largest_seed_is_accepted(tmp_path):
@@ -200,7 +219,7 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             invoke(["gen", "--seed", "-1", "--out", str(tmp_path / "x.msf")])
         assert exc.value.code == 2
-        assert "error: --seed must be nonnegative" in capsys.readouterr().err
+        assert "error: argument --seed: " in capsys.readouterr().err
 
     def test_eigensolver_failure_is_runtime_error(self, tmp_path, capsys, monkeypatch):
         def fail(a):
@@ -343,13 +362,22 @@ class TestRun:
         assert err.startswith("error: step size collapsed with gradient norm 2.000e-09")
         assert "Traceback" not in err
 
+    def test_config_value_out_of_range_names_file_and_key(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"batch": 0}))
+        with pytest.raises(SystemExit) as exc:
+            invoke(["run", "--data", "x.msf", "--config", str(conf),
+                    "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert f"error: config {conf}: 'batch': " in capsys.readouterr().err
+
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         data = make_data(tmp_path)
         with pytest.raises(SystemExit) as exc:
             invoke(["run", "--data", str(data), "--seed", "-3",
                     "--out", str(tmp_path / "o.csv")])
         assert exc.value.code == 2
-        assert "error: --seed must be nonnegative" in capsys.readouterr().err
+        assert "error: argument --seed: " in capsys.readouterr().err
 
 
 def write_sweep(tmp_path, data, name="sweep.csv", jobs="1", epsilons="0.9"):
@@ -401,7 +429,7 @@ class TestSweep:
 
     def test_negative_or_repeated_seeds_are_usage_errors(self, tmp_path, capsys):
         data = make_data(tmp_path)
-        for seeds, message in (("-1,0", "seeds must be nonnegative"),
+        for seeds, message in (("-1,0", "argument --seeds: "),
                                ("0,0", "seeds must be distinct")):
             with pytest.raises(SystemExit) as exc:
                 invoke(["sweep", "--data", str(data), f"--seeds={seeds}",
@@ -519,7 +547,10 @@ class TestFit:
         with pytest.raises(SystemExit) as exc:
             invoke(["fit", *(x for item in flags.items() for x in item)])
         assert exc.value.code == 2
-        assert "must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # 1e200 is finite; 2*G^2*b overflows, which the check after the CSV is read names.
+        assert (f"error: argument {flag}: " in err if value != "1e200"
+                else "error: --G 1e+200 is too large" in err)
 
     @pytest.mark.parametrize("kind", ["constant", "inverse_sqrt"])
     @pytest.mark.parametrize("g, b_range", [("1e154", None), ("1e152", "16:1e6")])

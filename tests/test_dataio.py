@@ -298,6 +298,18 @@ class TestMatrixSetFile:
         _, peak = traced_peak(write_matrix_set, path, data)
         assert peak <= path.stat().st_size / 2
 
+    def test_reader_releases_its_lines_before_the_checks(self, tmp_path, rng):
+        # 4096 descriptors, about 1.9 MB of text.  While parsing, the lines
+        # take about 1.4 times the file and the values a third of it; the
+        # checks and the Dataset come after the lines are released.
+        img = rng.integers(0, 256, size=(256, 256)).astype(float)
+        data = covariance_descriptors(img, 4)
+        path = tmp_path / "set.msf"
+        write_matrix_set(path, data)
+        back, peak = traced_peak(read_matrix_set, path)
+        np.testing.assert_array_equal(back.points, data.points)
+        assert peak <= 2.2 * path.stat().st_size
+
     def test_comments_ignored(self, tmp_path):
         path = tmp_path / "c.msf"
         path.write_text("# header comment\n2 1\n# matrix follows\n2 0\n0 3\n")

@@ -151,6 +151,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="nonnegative"):
             small_sweep_config(rng, seeds=(-1, 0))
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("batch_sizes", (1.7, 2.2), "batch size"), ("seeds", (0, 1.5), "seed"),
+        ("max_steps", 2.5, "max_steps"),
+    ])
+    def test_config_rejects_non_integers(self, rng, field, value, named):
+        # int() would store (1, 2) for batches (1.7, 2.2).
+        with pytest.raises(TypeError, match=f"{named} must be an integer"):
+            small_sweep_config(rng, **{field: value})
+
 
 def lockstep_config(rng, **over):
     # A constant and a staircase schedule that share their first 10 steps,

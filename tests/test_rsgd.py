@@ -682,6 +682,46 @@ def test_seed_must_fit_a_philox_key(rng):
         RunConfig(data, np.eye(3), StepSchedule.constant(0.1), 2, 2**64, 10)
 
 
+@pytest.mark.parametrize("name", ["x0", "reference"])
+def test_points_must_match_the_data(rng, name):
+    # A mismatch would otherwise surface inside the loop, at step 0.
+    data = cloud(rng, 8, 3)
+    points = {"x0": np.eye(3), "reference": np.eye(3), name: np.eye(4)}
+    shapes = r"the data's shape \(3, 3\), got \(4, 4\)"
+    with pytest.raises(ValueError, match=f"{name} must have {shapes}"):
+        RunConfig(data, points["x0"], StepSchedule.constant(0.1), 2, 0, 10,
+                  reference=points["reference"])
+
+
+@pytest.mark.parametrize("field", ["batch_size", "seed", "max_steps"])
+def test_run_inputs_must_be_integers(rng, field):
+    # A float would key Philox with its floor, or count steps or draw a batch
+    # by a rounding of its own.
+    data = cloud(rng, 8, 3)
+    fields = {"batch_size": 2, "seed": 1, "max_steps": 3}
+    with pytest.raises(TypeError, match=f"{field} must be an integer, got 2.5"):
+        RunConfig(data, np.eye(3), StepSchedule.constant(0.1), **{**fields, field: 2.5})
+    config = RunConfig(data, np.eye(3), StepSchedule.constant(0.1),
+                       **{**fields, field: np.uint64(fields[field])})
+    assert type(getattr(config, field)) is int
+
+
+def test_caller_error_inside_the_loop_is_not_a_run_error(rng, monkeypatch):
+    # Only the geometry's own failures become a RunError; any other
+    # ValueError is the caller's, and it is raised as it is.
+    data = cloud(rng, 8, 3)
+
+    def fail(m, data):
+        raise ValueError("caller's mistake")
+
+    monkeypatch.setattr(objective, "objective_summary", fail)
+    config = RunConfig(data, np.eye(3), StepSchedule.constant(0.1), 2, 0, 5)
+    with pytest.raises(ValueError, match="caller's mistake"):
+        _descend([config])
+    with pytest.raises(ValueError, match="caller's mistake"):
+        run(config)
+
+
 class TestStackedKernels:
     # Runs advanced in lockstep stack one matrix per run; each must get the
     # floats of its lone call, or a sweep cell would drift from `run`.
